@@ -158,8 +158,6 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 		"dispatches per fairness-audit window for /debug/fairness (0 disables the audit)")
 	auditTol := fs.Float64("audit-tol", 0.10,
 		"fairness-audit drift threshold (max relative share error per window)")
-	lockfree := fs.Bool("lockfree", true,
-		"use the lock-free submit/draw path (MPSC submit rings + RCU draw snapshots); disable to bisect against the mutex path")
 	if err := fs.Parse(args); err != nil {
 		return fmt.Errorf("%w: %v", errConfig, err)
 	}
@@ -207,13 +205,12 @@ func run(ctx context.Context, args []string, ready chan<- net.Addr) error {
 	reg := metrics.NewRegistry()
 	var rec *rt.EventRecorder
 	cfg := rt.Config{
-		Workers:         *workers,
-		Shards:          *shards,
-		QueueCap:        *queueCap,
-		Seed:            uint32(*seed),
-		ExpectedSlice:   *slice,
-		Metrics:         reg,
-		DisableLockFree: !*lockfree,
+		Workers:       *workers,
+		Shards:        *shards,
+		QueueCap:      *queueCap,
+		Seed:          uint32(*seed),
+		ExpectedSlice: *slice,
+		Metrics:       reg,
 	}
 	var ledger *resource.Ledger
 	if *memCap > 0 || *ioRate > 0 {

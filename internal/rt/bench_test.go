@@ -75,18 +75,12 @@ func reportWaitTails(b *testing.B, clients []*Client) {
 
 // BenchmarkDispatchThroughput exercises the dispatcher uncontended
 // (one client: every draw is trivial) and contended (eight clients
-// competing by lottery for every slot). The mutex variants pin
-// DisableLockFree so the lock-free submit/draw path's win (and any
-// future regression in the fallback) is measurable from one run.
+// competing by lottery for every slot).
 func BenchmarkDispatchThroughput(b *testing.B) {
 	b.Run("uncontended", func(b *testing.B) { benchDispatch(b, 1) })
 	b.Run("contended", func(b *testing.B) { benchDispatch(b, 8) })
-	b.Run("contended/mutex", func(b *testing.B) {
-		benchDispatchCfg(b, 8, Config{Workers: 2, Shards: 1, QueueCap: 4096, Seed: 42, DisableLockFree: true})
-	})
-	b.Run("parallel/shards=1", func(b *testing.B) { benchDispatchParallel(b, 1, false) })
-	b.Run("parallel/shards=1/mutex", func(b *testing.B) { benchDispatchParallel(b, 1, true) })
-	b.Run("parallel/shards=max", func(b *testing.B) { benchDispatchParallel(b, runtime.GOMAXPROCS(0), false) })
+	b.Run("parallel/shards=1", func(b *testing.B) { benchDispatchParallel(b, 1) })
+	b.Run("parallel/shards=max", func(b *testing.B) { benchDispatchParallel(b, runtime.GOMAXPROCS(0)) })
 }
 
 // benchDispatchParallel is the contended-submit throughput probe: as
@@ -95,14 +89,13 @@ func BenchmarkDispatchThroughput(b *testing.B) {
 // a single shard (the pre-sharding dispatcher, one lock) or one shard
 // per proc. SubmitDetached keeps the steady-state path allocation-free
 // — ReportAllocs is the regression gate for the pooled task path.
-func benchDispatchParallel(b *testing.B, shards int, mutex bool) {
+func benchDispatchParallel(b *testing.B, shards int) {
 	const nclients = 8
 	d := New(Config{
-		Workers:         runtime.GOMAXPROCS(0),
-		Shards:          shards,
-		QueueCap:        4096,
-		Seed:            42,
-		DisableLockFree: mutex,
+		Workers:  runtime.GOMAXPROCS(0),
+		Shards:   shards,
+		QueueCap: 4096,
+		Seed:     42,
 	})
 	defer d.Close()
 	clients := make([]*Client, nclients)

@@ -276,10 +276,8 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 				Tenant: c.tenant.name, MemBytes: res.MemBytes, IOTokens: res.IOTokens})
 		}
 	}
-	if d.lockfree {
-		if t, ok := c.submitFast(ctx, fn, detached, res, span, cancellable); ok {
-			return t, nil
-		}
+	if t, ok := c.submitFast(ctx, fn, detached, res, span, cancellable); ok {
+		return t, nil
 	}
 	var t *Task
 	if detached {
@@ -317,7 +315,7 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 	// Drain the ring before enqueueing directly: messages published
 	// before this submission must reach the queue first, keeping the
 	// client's FIFO order across the two paths.
-	acts := d.drainRingLocked(sh, nil)
+	acts := d.drainRingLocked(sh)
 	for {
 		if d.closed.Load() {
 			sh.publishLocked()
@@ -376,7 +374,7 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 			<-ch
 		}
 		sh = c.lockShard()
-		acts = d.drainRingLocked(sh, nil)
+		acts = d.drainRingLocked(sh)
 	}
 	enqueued := time.Now()
 	t.enqueued = enqueued
@@ -415,8 +413,8 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 // submitFast is the lock-free submit path: reserve a queue slot with
 // one atomic add, publish the submission into the home shard's MPSC
 // ring, and return — no shard mutex, and for detached submissions no
-// allocation (the Task struct is materialized at drain time from the
-// draining worker's cache). Returns ok=false to defer to the locked
+// allocation (the Task struct is taken from the dispatcher's pool at
+// drain time). Returns ok=false to defer to the locked
 // slow path: a full queue or ring (where the client's Block/Reject
 // policy and its rejection bookkeeping live), a closing dispatcher,
 // or a left client (which must report ErrClosed/ErrClientLeft with
@@ -628,7 +626,7 @@ func (c *Client) Leave() {
 	// Drain the shard's ring first: submissions accepted before Leave
 	// must reach the queue so they still run (fresh publishes racing
 	// Leave may instead complete with ErrClientLeft at their drain).
-	acts := d.drainRingLocked(sh, nil)
+	acts := d.drainRingLocked(sh)
 	if !c.left {
 		c.gone.Store(true)
 		d.graphMu.Lock()
@@ -653,7 +651,7 @@ func (c *Client) Abandon() {
 	sh := c.lockShard()
 	// Ringed submissions drain into the queue first and are then
 	// dropped with everything else below.
-	acts := d.drainRingLocked(sh, nil)
+	acts := d.drainRingLocked(sh)
 	var dropped []*Task
 	if !c.torn {
 		c.gone.Store(true)
@@ -711,7 +709,7 @@ func (c *Client) Shed(n int) int {
 	// Drain first so ringed submissions are sheddable too: the
 	// overload controller sizes its shed from Pending(), which counts
 	// them.
-	acts := d.drainRingLocked(sh, nil)
+	acts := d.drainRingLocked(sh)
 	k := c.pendingLocked()
 	if k > n {
 		k = n

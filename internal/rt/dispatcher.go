@@ -137,13 +137,6 @@ type Config struct {
 	// ratios for consecutive windows. Tenants are registered into it
 	// with their base funding, mirroring the resource ledger.
 	Audit *audit.Auditor
-	// DisableLockFree forces every submit and draw through the shard
-	// mutexes, bypassing the MPSC submit rings, the RCU draw
-	// snapshots, and the per-worker task caches. The zero value (lock-
-	// free on) is the intended configuration; the mutex path exists for
-	// bisection when chasing a suspected fast-path bug (lotteryd
-	// -lockfree=false).
-	DisableLockFree bool
 	// Resources, when non-nil, is the multi-resource ledger the
 	// dispatcher's tenant currency jointly funds: tenants are
 	// registered into it with their base funding as tickets, task
@@ -235,20 +228,13 @@ type Dispatcher struct {
 	// lock is taken.
 	ledger *resource.Ledger
 
-	// lockfree enables the MPSC submit rings, RCU draw snapshots, and
-	// per-worker task caches (Config.DisableLockFree inverted). Fixed
-	// at construction.
-	lockfree bool
-
-	// predraw additionally enables the off-lock candidate pre-draw
-	// from the RCU snapshots. It requires lockfree and GOMAXPROCS > 1
-	// at construction: the pre-draw's whole value is overlapping draw
-	// computation with other workers' critical sections, and with one
-	// scheduler P there is no overlap to buy — only extra work whose
-	// interleaving perturbs windowed fairness on an oversubscribed
-	// box. Snapshots are still built and validated either way (the
-	// staleness machinery is exercised regardless); only the off-lock
-	// picks are gated.
+	// predraw enables the off-lock candidate pre-draw from the RCU
+	// snapshots. It requires GOMAXPROCS > 1 at construction: the
+	// pre-draw's whole value is overlapping draw computation with other
+	// workers' critical sections, and with one scheduler P there is no
+	// overlap to buy — only extra work whose interleaving perturbs
+	// windowed fairness on an oversubscribed box. Without it no
+	// snapshot is ever read, so none is built either.
 	predraw bool
 
 	workers      int
@@ -260,7 +246,7 @@ type Dispatcher struct {
 	shed         atomic.Uint64 // tasks evicted by overload shedding
 	rebalanced   atomic.Uint64 // clients migrated between shards
 	snapRebuilds atomic.Uint64 // lock-free draw snapshots rebuilt after a weight change
-	ringFull     atomic.Uint64 // submit-ring publishes that fell back to the mutex path
+	ringFull     atomic.Uint64 // submit-ring publishes that fell back to the locked submit path
 
 	// checks are external invariant checkers (Dispatcher.AddCheck) run
 	// by CheckInvariants after its own sweep — e.g. the overload
@@ -303,8 +289,7 @@ func New(cfg Config) *Dispatcher {
 		tracer:   cfg.Tracer,
 		aud:      cfg.Audit,
 		ledger:   cfg.Resources,
-		lockfree: !cfg.DisableLockFree,
-		predraw:  !cfg.DisableLockFree && runtime.GOMAXPROCS(0) > 1,
+		predraw:  runtime.GOMAXPROCS(0) > 1,
 		balEvery: cfg.RebalanceEvery,
 		balStop:  make(chan struct{}),
 	}
@@ -330,8 +315,8 @@ func New(cfg Config) *Dispatcher {
 	d.base = d.tickets.Base()
 	// One Park-Miller stream per shard plus one per worker, split from
 	// the same master seed. Shard streams come first so a given
-	// (seed, shards) pair draws the same per-shard sequences whether or
-	// not the lock-free path is on.
+	// (seed, shards) pair draws the same per-shard sequences whatever
+	// the worker count.
 	rngs := random.NewSharded(cfg.Seed, cfg.Shards+cfg.Workers)
 	d.shards = make([]*shard, cfg.Shards)
 	for i := range d.shards {
@@ -499,7 +484,7 @@ func (d *Dispatcher) discardQueued() []*Task {
 	var acts []drainAction
 	for _, sh := range d.shards {
 		sh.mu.Lock()
-		acts = append(acts, d.drainRingLocked(sh, nil)...)
+		acts = append(acts, d.drainRingLocked(sh)...)
 		for _, c := range sh.clients {
 			n := c.pendingLocked()
 			if n == 0 {
@@ -597,16 +582,6 @@ type drawn struct {
 	seq  uint64
 }
 
-// workerState is one pool goroutine's private draw state: an
-// independent Park-Miller stream for lock-free snapshot draws and the
-// local task cache detached structs are materialized from and
-// recycled into. Never shared between goroutines.
-type workerState struct {
-	id    int
-	rng   *random.PM
-	cache taskCache
-}
-
 // drainAction is the out-of-lock work a ring drain leaves behind:
 // either a task to complete (cancelled while ringed, or its client
 // left) or a message to re-route through the slow path because the
@@ -621,9 +596,8 @@ type drainAction struct {
 // drainRingLocked empties sh's submit ring into its clients' queues.
 // Callers hold sh.mu; dead submissions and forwarding overflow come
 // back as drainActions for the caller to settle via finishActions
-// once the lock is dropped. cache, when non-nil, supplies recycled
-// Task structs for detached messages.
-func (d *Dispatcher) drainRingLocked(sh *shard, cache *taskCache) []drainAction {
+// once the lock is dropped.
+func (d *Dispatcher) drainRingLocked(sh *shard) []drainAction {
 	var acts []drainAction
 	for {
 		m, ok := sh.ring.pop()
@@ -644,7 +618,7 @@ func (d *Dispatcher) drainRingLocked(sh *shard, cache *taskCache) []drainAction 
 			acts = append(acts, drainAction{m: m, requeue: true})
 			continue
 		}
-		if a, dead := d.placeLocked(sh, m, cache); dead {
+		if a, dead := d.placeLocked(sh, m); dead {
 			acts = append(acts, a)
 		}
 	}
@@ -654,7 +628,7 @@ func (d *Dispatcher) drainRingLocked(sh *shard, cache *taskCache) []drainAction 
 // The client is homed on sh and sh.mu is held. Returns a dead action
 // (and true) instead when the submission was cancelled while ringed
 // or its client has left; the caller completes it outside the lock.
-func (d *Dispatcher) placeLocked(sh *shard, m ringMsg, cache *taskCache) (drainAction, bool) {
+func (d *Dispatcher) placeLocked(sh *shard, m ringMsg) (drainAction, bool) {
 	c := m.c
 	t := m.t
 	if t != nil {
@@ -669,7 +643,7 @@ func (d *Dispatcher) placeLocked(sh *shard, m ringMsg, cache *taskCache) (drainA
 		// ring; it never had a watcher (those are registered at enqueue,
 		// below), so the error is read directly.
 		c.noteRingCancelLocked()
-		t = d.takeTask(cache)
+		t = d.taskPool.Get().(*Task)
 		t.client, t.ctx, t.fn, t.detached, t.res, t.span = c, m.ctx, m.fn, true, m.res, m.span
 		atomic.StoreInt32(&t.state, taskDone)
 		return drainAction{t: t, err: m.ctx.Err()}, true
@@ -684,14 +658,14 @@ func (d *Dispatcher) placeLocked(sh *shard, m ringMsg, cache *taskCache) (drainA
 		c.depth.Add(-1)
 		c.wakeWaitersLocked()
 		if t == nil {
-			t = d.takeTask(cache)
+			t = d.taskPool.Get().(*Task)
 			t.client, t.ctx, t.fn, t.detached, t.res, t.span = c, context.Background(), m.fn, true, m.res, m.span
 		}
 		atomic.StoreInt32(&t.state, taskDone)
 		return drainAction{t: t, err: ErrClientLeft}, true
 	}
 	if t == nil {
-		t = d.takeTask(cache)
+		t = d.taskPool.Get().(*Task)
 		t.client, t.fn, t.detached, t.res = c, m.fn, true, m.res
 		t.ctx = context.Background()
 		if m.ctx != nil {
@@ -745,7 +719,7 @@ func (d *Dispatcher) finishActions(acts []drainAction) {
 // message is placed directly, with only the usual dead checks.
 func (d *Dispatcher) enqueueSlow(m ringMsg) {
 	sh := m.c.lockShard()
-	a, dead := d.placeLocked(sh, m, nil)
+	a, dead := d.placeLocked(sh, m)
 	sh.publishLocked()
 	sh.mu.Unlock()
 	if dead {
@@ -753,17 +727,6 @@ func (d *Dispatcher) enqueueSlow(m ringMsg) {
 		return
 	}
 	d.wake()
-}
-
-// takeTask pulls a detached Task struct from the worker's cache when
-// one is available, falling back to the shared pool.
-func (d *Dispatcher) takeTask(cache *taskCache) *Task {
-	if cache != nil {
-		if t := cache.get(); t != nil {
-			return t
-		}
-	}
-	return d.taskPool.Get().(*Task)
 }
 
 // worker is one pool goroutine: pick a shard by stride over the
@@ -774,10 +737,10 @@ func (d *Dispatcher) takeTask(cache *taskCache) *Task {
 // The stride state (pass, eligible) is worker-local on purpose: each
 // worker's draw sequence is independently weight-proportional, so the
 // sum over workers is too, and shard selection needs no shared
-// mutable state at all.
+// mutable state at all. rng is the worker's private Park-Miller stream
+// for off-lock snapshot pre-draws.
 func (d *Dispatcher) worker(id int, rng *random.PM) {
 	defer d.wg.Done()
-	ws := workerState{id: id, rng: rng}
 	ns := len(d.shards)
 	pass := make([]float64, ns)
 	wasElig := make([]bool, ns)
@@ -801,7 +764,7 @@ func (d *Dispatcher) worker(id int, rng *random.PM) {
 			continue
 		}
 		sh := d.shards[si]
-		n, w := d.drawBatch(sh, &ws, &batch)
+		n, w := d.drawBatch(sh, rng, &batch)
 		if n == 0 {
 			continue
 		}
@@ -820,7 +783,7 @@ func (d *Dispatcher) worker(id int, rng *random.PM) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			d.runDrawn(&batch[i], &ws)
+			d.runDrawn(&batch[i], id)
 			batch[i] = drawn{}
 		}
 	}
@@ -893,7 +856,7 @@ func (d *Dispatcher) pickShard(pass []float64, elig, wasElig []bool, rr *int) in
 // counters and sequence numbers advance at draw time, inside the
 // critical section, exactly as they did under the single lock.
 //
-// On the lock-free path the winners themselves are chosen before the
+// Under a deep backlog the winners themselves are chosen before the
 // lock is taken: candidates are drawn from the shard's published
 // snapshot with the worker's private PRNG, then re-validated against
 // the tree generation under the lock (a candidate from a snapshot the
@@ -910,7 +873,7 @@ func (d *Dispatcher) pickShard(pass []float64, elig, wasElig []bool, rr *int) in
 // uses to advance its stride pass. Returning it from inside the
 // critical section keeps the stride advance consistent with the draw
 // it pays for; the published weightPub can lag a concurrent reweigh.
-func (d *Dispatcher) drawBatch(sh *shard, ws *workerState, batch *[batchK]drawn) (int, float64) {
+func (d *Dispatcher) drawBatch(sh *shard, rng *random.PM, batch *[batchK]drawn) (int, float64) {
 	var cands [batchK]*Client
 	ncand := 0
 	var snapGen uint64
@@ -929,17 +892,14 @@ func (d *Dispatcher) drawBatch(sh *shard, ws *workerState, batch *[batchK]drawn)
 	if d.predraw && d.totalPending.Load() >= int64(d.workers*batchK) && sh.snapCool.Load() == 0 {
 		if snap := sh.snap.Load(); snap != nil && snap.total > 0 {
 			for ncand < batchK {
-				cands[ncand] = snap.pick(ws.rng)
+				cands[ncand] = snap.pick(rng)
 				ncand++
 			}
 			snapGen = snap.gen
 		}
 	}
 	sh.mu.Lock()
-	var acts []drainAction
-	if d.lockfree {
-		acts = d.drainRingLocked(sh, &ws.cache)
-	}
+	acts := d.drainRingLocked(sh)
 	if sh.pending == 0 {
 		sh.publishLocked()
 		sh.mu.Unlock()
@@ -947,7 +907,7 @@ func (d *Dispatcher) drawBatch(sh *shard, ws *workerState, batch *[batchK]drawn)
 		return 0, 0
 	}
 	sh.reweighLocked()
-	if d.lockfree {
+	if d.predraw {
 		// Hysteresis bookkeeping (see snapCoolTrial): a stale arrival —
 		// the tree mutated since the last batch rebuilt the snapshot —
 		// restarts the warm-up trial; a fresh arrival advances it. The
@@ -1010,11 +970,14 @@ func (d *Dispatcher) drawBatch(sh *shard, ws *workerState, batch *[batchK]drawn)
 		batch[n] = drawn{t: t, c: c, wait: now.Sub(t.enqueued), seq: c.dispatchSeq}
 		n++
 	}
-	if d.lockfree && sh.snapGen != sh.treeGen {
+	if d.predraw && k == batchK && sh.snapGen != sh.treeGen {
 		// Rebuild after the draws so this batch's own mutations (pops,
 		// compensation consumption) are already folded in; the next
 		// batch draws off-lock again. A weight-churn-heavy interval
-		// degrades to locked tree draws, never to wrong ones.
+		// degrades to locked tree draws, never to wrong ones. Only a
+		// batch that could have pre-drawn rebuilds: below the batching
+		// threshold no worker reads the snapshot, and shallow queues
+		// would otherwise rebuild it on nearly every dispatch.
 		sh.rebuildSnapLocked()
 		d.snapRebuilds.Add(1)
 	}
@@ -1025,11 +988,9 @@ func (d *Dispatcher) drawBatch(sh *shard, ws *workerState, batch *[batchK]drawn)
 }
 
 // runDrawn runs one winner outside all locks and settles its
-// compensation against the client's current shard. ws is the pool
-// goroutine's private state: its id is recorded into sampled spans,
-// and its task cache takes the detached struct back when the task
-// finishes.
-func (d *Dispatcher) runDrawn(dr *drawn, ws *workerState) {
+// compensation against the client's current shard. worker is the pool
+// goroutine's id, recorded into sampled spans.
+func (d *Dispatcher) runDrawn(dr *drawn, worker int) {
 	c, t := dr.c, dr.t
 	c.mDispatched.Inc()
 	c.waitHist.Observe(dr.wait.Seconds())
@@ -1045,14 +1006,8 @@ func (d *Dispatcher) runDrawn(dr *drawn, ws *workerState) {
 
 	start := time.Now()
 	if t.span != nil {
-		t.span.Worker = ws.id
+		t.span.Worker = worker
 		t.span.Run = start
-	}
-	if t.detached && d.lockfree {
-		// Route the struct back to this worker's private cache when the
-		// finish path recycles it; only the owning goroutine ever
-		// touches the cache, so the hand-back is synchronization-free.
-		t.cache = &ws.cache
 	}
 	err := runTask(t)
 	elapsed := time.Since(start)
@@ -1172,10 +1127,8 @@ func runTask(t *Task) (err error) {
 	return nil
 }
 
-// recycle returns a detached task's struct to its worker's cache when
-// it carries one, else to the shared pool.
+// recycle returns a detached task's struct to the dispatcher's pool.
 func (d *Dispatcher) recycle(t *Task) {
-	cache := t.cache
 	// Field-wise reset rather than a struct copy: the atomic stop
 	// handle must not be copied, only cleared. recycle owns the struct
 	// exclusively (finish's one-shot guarantee), so plain stores are
@@ -1189,11 +1142,7 @@ func (d *Dispatcher) recycle(t *Task) {
 	atomic.StoreInt32(&t.state, taskQueued)
 	t.detached = false
 	t.stop.Store(nil)
-	t.cache = nil
 	t.res = resource.Reserve{}
 	t.span = nil
-	if cache != nil && cache.put(t) {
-		return
-	}
 	d.taskPool.Put(t)
 }

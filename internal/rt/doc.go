@@ -82,23 +82,26 @@
 //
 // # Lock-free dispatch
 //
-// On top of sharding, the steady-state hot path takes no locks at all
-// (Config.DisableLockFree restores the mutex path). Submissions
-// publish into a per-shard bounded MPSC ring and return; whichever
-// worker next holds the shard mutex drains the ring into the run
-// queue. Draws read an immutable prefix-sum snapshot of the shard's
-// lottery tree, swapped atomically and rebuilt only when tickets
-// actually changed; a winner drawn from a snapshot made stale by a
-// concurrent SetTickets, join, or leave is re-validated against the
-// shard's generation under the lock and redrawn if invalid, so a
-// retired client is never dispatched. Off-lock pre-draws engage only
-// where they can overlap with another worker's critical section
-// (GOMAXPROCS > 1) and only after the snapshot has stayed fresh for a
-// few consecutive batches; churny or single-P regimes keep draws on
-// the locked tree, whose timing the windowed fairness checks are
-// calibrated against. Detached task structs recycle
-// through per-worker caches instead of the global pool. See DESIGN.md
-// §11 for the ring protocol and memory-ordering argument.
+// On top of sharding, the steady-state submit takes no lock: it
+// publishes into a per-shard bounded MPSC ring and returns, and
+// whichever worker next holds the shard mutex drains the ring into the
+// run queue. This is the only dispatch path; a full queue or ring
+// falls back to a locked submit that applies the client's overflow
+// policy. Under a deep backlog, draws read an immutable prefix-sum
+// snapshot of the shard's lottery tree, swapped atomically; a winner
+// drawn from a snapshot made stale by a concurrent SetTickets, join,
+// or leave is re-validated against the shard's generation under the
+// lock and redrawn if invalid, so a retired client is never
+// dispatched. Off-lock pre-draws engage only where they can overlap
+// with another worker's critical section (GOMAXPROCS > 1), only at
+// the batching threshold, and only after the snapshot has stayed
+// fresh for a few consecutive batches; snapshots are rebuilt only
+// where a pre-draw could read them. Shallow, churny or single-P
+// regimes keep draws on the locked tree, whose timing the windowed
+// fairness checks are calibrated against. Detached task structs
+// recycle through the dispatcher's sync.Pool. See DESIGN.md §11 for
+// the ring protocol, the memory-ordering argument and the
+// measurements that chose these mechanisms.
 //
 // The ring relaxes one ordering edge, observability only: a
 // submission is live from the moment it is published (it counts

@@ -17,7 +17,8 @@ import (
 // "Lock-free dispatch").
 //
 // Published via shard.snap (an atomic.Pointer) and rebuilt only when
-// the tree actually changed — join/leave/transfer/compensation/
+// the tree actually changed and a batch deep enough to pre-draw is
+// running — under a deep backlog join/leave/transfer/compensation/
 // inflation are rare relative to draws, so the common case is many
 // draws per rebuild.
 type drawSnap struct {

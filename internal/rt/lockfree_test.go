@@ -95,31 +95,6 @@ func TestRingConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestTaskCache checks the per-worker cache's bounded LIFO behavior:
-// hits come back most-recently-put first, misses return nil, and puts
-// beyond capacity report false so the caller overflows to the pool.
-func TestTaskCache(t *testing.T) {
-	var tc taskCache
-	if tc.get() != nil {
-		t.Fatal("empty cache returned a task")
-	}
-	a, b := &Task{}, &Task{}
-	if !tc.put(a) || !tc.put(b) {
-		t.Fatal("puts under capacity rejected")
-	}
-	if tc.get() != b || tc.get() != a || tc.get() != nil {
-		t.Fatal("cache is not LIFO")
-	}
-	for i := 0; i < taskCacheCap; i++ {
-		if !tc.put(&Task{}) {
-			t.Fatalf("put %d rejected below capacity %d", i, taskCacheCap)
-		}
-	}
-	if tc.put(&Task{}) {
-		t.Fatalf("put beyond capacity %d accepted", taskCacheCap)
-	}
-}
-
 // TestLockFreeSnapshotStaleness is the -race storm for the RCU draw
 // path: detached submit storms keep every shard's ring and snapshot
 // hot while ticket retargeting churns the tree generation (forcing
@@ -131,14 +106,11 @@ func TestTaskCache(t *testing.T) {
 // sealed (Abandon returned and its in-flight draws quiesced), every
 // stable client's detached submissions all ran, CheckInvariants stays
 // green during and after the storm, and the audit windows kept
-// closing with sane draw counts.
+// closing with sane draw counts. Snapshots are rebuilt exactly when
+// the pre-draw can use them: under the storm's deep backlog with more
+// than one scheduler P, and never with one (run with -cpu 1,2 to cover
+// both sides of the gate).
 func TestLockFreeSnapshotStaleness(t *testing.T) {
-	// The off-lock pre-draw only engages with more than one scheduler P
-	// (see Dispatcher.predraw, checked at New); force it so the storm
-	// exercises candidate validation even on a single-core host.
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
 	const (
 		stablePerTenant = 3
 		storms          = 4
@@ -363,46 +335,47 @@ func TestLockFreeSnapshotStaleness(t *testing.T) {
 		t.Fatal("storm submitted nothing")
 	}
 	snap := d.Snapshot()
-	if !snap.LockFree {
-		t.Fatal("dispatcher reports the lock-free path disabled")
-	}
 	t.Logf("storm: %d submitted, %d snapshot rebuilds, %d ring-full fallbacks, %d audit windows",
 		total, snap.SnapshotRebuilds, snap.RingFull, windows.Load())
-	if snap.SnapshotRebuilds == 0 {
+	switch {
+	case d.predraw && snap.SnapshotRebuilds == 0:
 		t.Error("retargeting churn never rebuilt a draw snapshot")
+	case !d.predraw && snap.SnapshotRebuilds != 0:
+		t.Errorf("%d draw snapshots rebuilt with pre-draws disabled (GOMAXPROCS 1)", snap.SnapshotRebuilds)
 	}
 }
 
-// TestLockFreeDisabled pins the mutex fallback: with DisableLockFree
-// set the dispatcher must never touch the rings or snapshots but keep
-// every submission contract.
-func TestLockFreeDisabled(t *testing.T) {
-	d := New(Config{Workers: 2, DisableLockFree: true})
+// TestShallowQueueSkipsSnapshotRebuilds pins the rebuild gate: a
+// closed-loop caller keeps at most one task queued, below the batching
+// threshold where pre-draws engage, so no batch may pay for a draw
+// snapshot nobody reads — even though every task makes its client join
+// and leave the shard's tree.
+func TestShallowQueueSkipsSnapshotRebuilds(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	d := New(Config{Workers: 2, Shards: 1})
 	defer d.Close()
+	if !d.predraw {
+		t.Fatal("pre-draw disabled at GOMAXPROCS 2")
+	}
 	c, err := d.NewClient("c", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var n atomic.Uint64
-	for i := 0; i < 256; i++ {
-		if err := c.SubmitDetached(func() { n.Add(1) }); err != nil {
+	const n = 10000
+	for i := 0; i < n; i++ {
+		task, err := c.Submit(func() {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := task.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "mutex-path tasks ran", func() bool { return n.Load() == 256 })
 	snap := d.Snapshot()
-	if snap.LockFree {
-		t.Fatal("snapshot reports lock-free enabled despite DisableLockFree")
+	if snap.Dispatched != n {
+		t.Fatalf("dispatched %d tasks, want %d", snap.Dispatched, n)
 	}
-	if snap.RingFull != 0 || snap.SnapshotRebuilds != 0 {
-		t.Fatalf("mutex path touched ring/snapshot counters: %+v", snap)
-	}
-	for _, sh := range d.shards {
-		if sh.ringPending.Load() != 0 {
-			t.Fatalf("shard %d has ring backlog on the mutex path", sh.id)
-		}
-	}
-	if err := CheckInvariants(d); err != nil {
-		t.Fatal(err)
+	if snap.SnapshotRebuilds != 0 {
+		t.Fatalf("%d draw snapshots rebuilt over %d one-deep dispatches, want 0", snap.SnapshotRebuilds, n)
 	}
 }

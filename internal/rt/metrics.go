@@ -50,15 +50,8 @@ func newRTMetrics(r *metrics.Registry, d *Dispatcher) *rtMetrics {
 		func() float64 { return float64(d.rebalanced.Load()) })
 	r.CounterFunc("rt_snapshot_rebuilds_total", "Lock-free draw snapshots rebuilt after a tree change.",
 		func() float64 { return float64(d.snapRebuilds.Load()) })
-	r.CounterFunc("rt_ring_full_total", "Submit-ring publishes that fell back to the mutex path.",
+	r.CounterFunc("rt_ring_full_total", "Submit-ring publishes that fell back to the locked submit path.",
 		func() float64 { return float64(d.ringFull.Load()) })
-	r.GaugeFunc("rt_lockfree", "1 when the lock-free submit/draw path is enabled, 0 when disabled.",
-		func() float64 {
-			if d.lockfree {
-				return 1
-			}
-			return 0
-		})
 	r.GaugeFunc("rt_pending_tasks", "Tasks accepted but not yet dispatched (queued plus ring backlog).",
 		func() float64 { return float64(d.pendingAll()) })
 	r.GaugeFunc("rt_clients", "Clients currently registered.",

@@ -29,20 +29,18 @@ func (d *Dispatcher) rebalanceOnce() int {
 	if ns < 2 {
 		return 0
 	}
-	if d.lockfree {
-		// Drain every shard's submit ring first: with all workers busy
-		// for a whole period, ring-parked submissions have not reached
-		// any queue or tree yet, and the published weights read below
-		// would show a shard as empty when it has a ring backlog. The
-		// rebalancer doubles as the liveness backstop that keeps tree
-		// membership (and the weight hints) from going stale forever.
-		for _, sh := range d.shards {
-			sh.mu.Lock()
-			acts := d.drainRingLocked(sh, nil)
-			sh.publishLocked()
-			sh.mu.Unlock()
-			d.finishActions(acts)
-		}
+	// Drain every shard's submit ring first: with all workers busy for
+	// a whole period, ring-parked submissions have not reached any
+	// queue or tree yet, and the published weights read below would
+	// show a shard as empty when it has a ring backlog. The rebalancer
+	// doubles as the liveness backstop that keeps tree membership (and
+	// the weight hints) from going stale forever.
+	for _, sh := range d.shards {
+		sh.mu.Lock()
+		acts := d.drainRingLocked(sh)
+		sh.publishLocked()
+		sh.mu.Unlock()
+		d.finishActions(acts)
 	}
 	// Pick heaviest and lightest by the published weights; a stale
 	// read just wastes (or skips) one pass.
@@ -75,7 +73,7 @@ func (d *Dispatcher) rebalanceOnce() int {
 	// client's ring backlog should move with its queue, not trickle in
 	// later through the forwarding path (which costs an extra hop per
 	// message). Messages for clients homed elsewhere forward now.
-	acts := d.drainRingLocked(src, nil)
+	acts := d.drainRingLocked(src)
 	budget := (src.tree.Total() - dst.tree.Total()) / 2
 	moved := 0
 	for i := 0; i < len(src.clients); {

@@ -11,10 +11,9 @@ import (
 
 // This file is the lock-free half of the submit path: a bounded MPSC
 // ring per shard (producers are submitters on any goroutine, the
-// single consumer is whichever worker holds the shard mutex) plus the
-// per-worker task cache that replaces the global sync.Pool on the
-// recycle path. See DESIGN.md "Lock-free dispatch" for the protocol
-// and the memory-ordering argument.
+// single consumer is whichever goroutine holds the shard mutex). See
+// DESIGN.md "Lock-free dispatch" for the protocol and the
+// memory-ordering argument.
 
 // ringBits sizes every shard's submit ring at 2^ringBits slots. Big
 // enough that a full ring means a real backlog (the slow path then
@@ -28,9 +27,9 @@ const ringSize = 1 << ringBits
 
 // ringMsg is one published submission: everything the draining worker
 // needs to enqueue the task under the shard lock. For detached
-// submissions t is nil and the Task struct is materialized at drain
-// time from the draining worker's cache, so the fast-path publish
-// allocates nothing at all.
+// submissions t is nil and the Task struct is taken from the
+// dispatcher's pool at drain time, so the fast-path publish allocates
+// nothing at all.
 type ringMsg struct {
 	c  *Client
 	fn func()
@@ -77,8 +76,8 @@ func (r *ring) init(size int) {
 }
 
 // publish reserves the next slot and stores m into it, returning false
-// when the ring is full (the caller falls back to the mutex path, so
-// backpressure semantics are unchanged). Safe for any number of
+// when the ring is full (the caller falls back to the locked submit
+// path, so backpressure semantics are unchanged). Safe for any number of
 // concurrent producers.
 func (r *ring) publish(m ringMsg) bool {
 	for {
@@ -118,37 +117,4 @@ func (r *ring) pop() (ringMsg, bool) {
 	slot.seq.Store(pos + uint64(len(r.slots)))
 	r.tail = pos + 1
 	return m, true
-}
-
-// taskCacheCap bounds each worker's private free list of detached Task
-// structs; overflow spills to the shared pool.
-const taskCacheCap = 256
-
-// taskCache is a worker-local free list for detached Task structs. It
-// is only ever touched by its owning worker goroutine — tasks are
-// taken from it when the worker drains a ring and returned to it when
-// the same worker's finish path recycles the struct — so no
-// synchronization is needed, unlike the global sync.Pool it replaces
-// on the recycle path.
-type taskCache struct {
-	free []*Task
-}
-
-func (tc *taskCache) get() *Task {
-	n := len(tc.free)
-	if n == 0 {
-		return nil
-	}
-	t := tc.free[n-1]
-	tc.free[n-1] = nil
-	tc.free = tc.free[:n-1]
-	return t
-}
-
-func (tc *taskCache) put(t *Task) bool {
-	if len(tc.free) >= taskCacheCap {
-		return false
-	}
-	tc.free = append(tc.free, t)
-	return true
 }

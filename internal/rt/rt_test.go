@@ -32,7 +32,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func drainRings(d *Dispatcher) {
 	for _, sh := range d.shards {
 		sh.mu.Lock()
-		acts := d.drainRingLocked(sh, nil)
+		acts := d.drainRingLocked(sh)
 		sh.publishLocked()
 		sh.mu.Unlock()
 		d.finishActions(acts)

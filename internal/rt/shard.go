@@ -53,7 +53,8 @@ type shard struct {
 	treeGen uint64
 
 	// snapGen is the generation of the currently published snapshot;
-	// drawBatch rebuilds when it trails treeGen. Guarded by mu.
+	// a batch that could pre-draw rebuilds when it trails treeGen.
+	// Guarded by mu.
 	snapGen uint64
 
 	// snap is the RCU-published flattened view of the tree that workers

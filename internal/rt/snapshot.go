@@ -57,16 +57,15 @@ type Snapshot struct {
 	Shards  int  `json:"shards"`
 	Closed  bool `json:"closed"`
 	Pending int  `json:"pending"`
-	// LockFree reports whether the lock-free submit/draw path (MPSC
-	// submit rings + RCU draw snapshots) is enabled.
-	LockFree bool `json:"lock_free"`
 	// SnapshotRebuilds counts lock-free draw snapshots rebuilt after a
 	// tree change; its rate against Dispatched is the snapshot churn
 	// (a high ratio means weight changes are outpacing draws and the
-	// draw path is degrading to the locked tree).
+	// draw path is degrading to the locked tree). Snapshots are rebuilt
+	// only by batches that could pre-draw from them, so it stays zero
+	// below the batching threshold and with GOMAXPROCS 1.
 	SnapshotRebuilds uint64 `json:"snapshot_rebuilds"`
 	// RingFull counts submissions that found their shard's submit ring
-	// full and fell back to the mutex path.
+	// full and fell back to the locked submit path.
 	RingFull uint64 `json:"ring_full"`
 	// Rebalances counts clients migrated between shards by the weight
 	// rebalancer since the dispatcher started.
@@ -94,7 +93,6 @@ func (d *Dispatcher) Snapshot() Snapshot {
 		Shards:           len(d.shards),
 		Closed:           d.closed.Load(),
 		Pending:          int(d.pendingAll()),
-		LockFree:         d.lockfree,
 		SnapshotRebuilds: d.snapRebuilds.Load(),
 		RingFull:         d.ringFull.Load(),
 		Rebalances:       d.rebalanced.Load(),

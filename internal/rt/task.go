@@ -61,11 +61,6 @@ type Task struct {
 	// handoff itself must still be a synchronized write.
 	stop atomic.Pointer[func() bool]
 
-	// cache, when non-nil, is the worker-local free list this detached
-	// struct should be recycled into (set by the worker that ran it);
-	// nil falls back to the shared pool. Only read by recycle.
-	cache *taskCache
-
 	// res is the task's resource reserve, held from acquisition in
 	// submit until finish releases it. Immutable while the task lives.
 	res resource.Reserve
