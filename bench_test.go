@@ -254,13 +254,12 @@ func currencyChain(depth int) (*ticket.System, *ticket.Holder) {
 func BenchmarkSchedulingDecision(b *testing.B) {
 	for _, n := range []int{2, 8, 64} {
 		mk := map[string]func() sched.Policy{
-			"lottery":        func() sched.Policy { return sched.NewLottery(random.NewPM(1), true) },
-			"static-lottery": func() sched.Policy { return sched.NewStaticLottery(random.NewPM(1)) },
-			"stride":         func() sched.Policy { return sched.NewStride() },
-			"timesharing":    func() sched.Policy { return sched.NewTimeSharing() },
-			"round-robin":    func() sched.Policy { return sched.NewRoundRobin() },
+			"lottery":     func() sched.Policy { return sched.NewLottery(random.NewPM(1), true) },
+			"stride":      func() sched.Policy { return sched.NewStride() },
+			"timesharing": func() sched.Policy { return sched.NewTimeSharing() },
+			"round-robin": func() sched.Policy { return sched.NewRoundRobin() },
 		}
-		for _, name := range []string{"lottery", "static-lottery", "stride", "timesharing", "round-robin"} {
+		for _, name := range []string{"lottery", "stride", "timesharing", "round-robin"} {
 			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
 				p := mk[name]()
 				for i := 0; i < n; i++ {

@@ -31,7 +31,7 @@ func (l *ledgerFix) reclaimDisciplined(need int64) {
 	copy(candidates, l.tenants)
 	l.mu.Unlock()
 
-	chosen := drawVictim(candidates) // fine: inverse lottery outside the lock
+	chosen := pickVictim(candidates) // fine: inverse lottery outside the lock
 
 	l.mu.Lock()
 	if chosen.resident >= need { // re-validate: residency may have moved
@@ -95,9 +95,9 @@ func (l *ledgerFix) snapshotEmitsAfterCopy() {
 	}
 }
 
-// drawVictim stands in for the inverse-lottery draw; the analyzer only
+// pickVictim stands in for the inverse-lottery draw; the analyzer only
 // cares that it is called outside any critical section above.
-func drawVictim(cands []*victim) *victim {
+func pickVictim(cands []*victim) *victim {
 	best := cands[0]
 	for _, v := range cands {
 		if v.resident > best.resident {

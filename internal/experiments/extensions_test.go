@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestIOBWSharesTrackTickets(t *testing.T) {
@@ -190,6 +193,59 @@ func TestStrideCompare(t *testing.T) {
 		t.Errorf("lottery error did not shrink: %v -> %v", r.Rows[0].LotteryErr, last.LotteryErr)
 	}
 	_ = r.Format()
+}
+
+// TestStrideCompareJSONShortHorizon: at a short scaled horizon thread
+// b can get no CPU, leaving an infinite error that the JSON encoder
+// rejects. Such a row must encode with null errors so lotterysim -json
+// still emits the whole result.
+func TestStrideCompareJSONShortHorizon(t *testing.T) {
+	cfg := DefaultStrideCompareConfig()
+	cfg.Scale = 0.05
+	r := RunStrideCompare(cfg)
+	undefined := 0
+	for _, row := range r.Rows {
+		if math.IsInf(row.LotteryErr, 1) || math.IsInf(row.StrideErr, 1) {
+			undefined++
+		}
+	}
+	if undefined == 0 {
+		t.Fatal("no row with an undefined error at scale 0.05; the test no longer covers the +Inf case")
+	}
+	out, err := json.Marshal(r)
+	if err != nil {
+		t.Fatalf("json.Marshal: %v", err)
+	}
+	var back struct {
+		Rows []struct {
+			Horizon               sim.Duration
+			LotteryErr, StrideErr *float64
+		}
+	}
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range r.Rows {
+		for _, c := range []struct {
+			want float64
+			got  *float64
+		}{{row.LotteryErr, back.Rows[i].LotteryErr}, {row.StrideErr, back.Rows[i].StrideErr}} {
+			switch {
+			case math.IsInf(c.want, 1):
+				if c.got != nil {
+					t.Errorf("row %d: undefined error encoded as %v, want null", i, *c.got)
+				}
+			case c.got == nil || *c.got != c.want:
+				t.Errorf("row %d: finite error %v did not round-trip (%v)", i, c.want, c.got)
+			}
+		}
+		if back.Rows[i].Horizon != row.Horizon {
+			t.Errorf("row %d: horizon %v, want %v", i, back.Rows[i].Horizon, row.Horizon)
+		}
+	}
+	if !strings.Contains(r.Format(), "+Inf") {
+		t.Error("text report no longer prints +Inf for an undefined error")
+	}
 }
 
 func TestSMPShareCompression(t *testing.T) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -38,6 +39,25 @@ type StrideCompareRow struct {
 	Horizon    sim.Duration
 	LotteryErr float64
 	StrideErr  float64
+}
+
+// MarshalJSON emits an error the horizon leaves undefined — thread b
+// got no CPU, so the observed ratio is +Inf — as null, because JSON
+// has no infinity. Finite errors encode as plain numbers; the text
+// report keeps printing +Inf.
+func (r StrideCompareRow) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Horizon    sim.Duration
+		LotteryErr *float64
+		StrideErr  *float64
+	}{r.Horizon, finiteOrNull(r.LotteryErr), finiteOrNull(r.StrideErr)})
+}
+
+func finiteOrNull(x float64) *float64 {
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return nil
+	}
+	return &x
 }
 
 // StrideCompareResult is the comparison data set.

@@ -221,19 +221,19 @@ func (d *Device) kick() {
 // requests. Unfunded streams win only when no funded stream has work
 // (same degradation rule as the CPU lottery).
 func (d *Device) drawStream() *Stream {
-	l := lottery.NewList[*Stream](false)
-	var anyPending *Stream
+	var pending []*Stream
+	var weights []float64
 	for _, s := range d.streams {
-		if len(s.pending) == 0 {
-			continue
+		if len(s.pending) > 0 {
+			pending = append(pending, s)
+			weights = append(weights, s.tickets)
 		}
-		if anyPending == nil {
-			anyPending = s
-		}
-		l.Add(s, s.tickets)
 	}
-	if winner, ok := l.Draw(d.src); ok {
-		return winner
+	if i, ok := lottery.Draw(d.src, weights); ok {
+		return pending[i]
 	}
-	return anyPending
+	if len(pending) == 0 {
+		return nil
+	}
+	return pending[0]
 }

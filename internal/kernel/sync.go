@@ -155,12 +155,12 @@ func drawWaiterByFunding(src random.Source, ws []*Thread) *Thread {
 	if len(ws) == 1 {
 		return ws[0]
 	}
-	draw := lottery.NewList[*Thread](false)
-	for _, w := range ws {
-		draw.Add(w, w.holder.FundedValue())
+	weights := make([]float64, len(ws))
+	for i, w := range ws {
+		weights[i] = w.holder.FundedValue()
 	}
-	if winner, ok := draw.Draw(src); ok {
-		return winner
+	if i, ok := lottery.Draw(src, weights); ok {
+		return ws[i]
 	}
 	return ws[0]
 }

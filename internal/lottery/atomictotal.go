@@ -23,15 +23,3 @@ func (a *AtomicTotal) Store(w float64) { a.bits.Store(math.Float64bits(w)) }
 
 // Load returns the most recently published total.
 func (a *AtomicTotal) Load() float64 { return math.Float64frombits(a.bits.Load()) }
-
-// SumTotals merges the published totals of a set of shards — the
-// grand total a single-tree lottery would report. Because each load is
-// independent, the sum is eventually consistent: it may mix totals
-// published at slightly different instants.
-func SumTotals(totals []*AtomicTotal) float64 {
-	var sum float64
-	for _, t := range totals {
-		sum += t.Load()
-	}
-	return sum
-}

@@ -48,17 +48,22 @@ func ExampleTree() {
 	// gold won more than silver: true
 }
 
-// ExampleDrawInverse shows the §6.2 inverse lottery: the loser
-// relinquishes a resource unit, and better-funded clients lose less
-// often.
-func ExampleDrawInverse() {
-	weights := []float64{3, 2, 1}
-	for i := range weights {
-		fmt.Printf("client %d loss probability: %.3f\n",
-			i, lottery.InverseProbability(weights, i))
+// ExampleDrawVictim shows the §6.2 inverse lottery: three clients
+// hold 60, 30 and 10 pages of a 100-page pool with 1, 1 and 2 tickets,
+// and the victim weights (1 - t_i/T) · m_i/M make the large,
+// poorly funded holder lose most often.
+func ExampleDrawVictim() {
+	weights := []float64{0.75 * 0.6, 0.75 * 0.3, 0.5 * 0.1}
+	held := []int64{60, 30, 10}
+	src := random.NewPM(7)
+	losses := make([]int, len(weights))
+	for i := 0; i < 10000; i++ {
+		losses[lottery.DrawVictim(src, weights, held)]++
 	}
+	fmt.Println("largest holder lost most:", losses[0] > losses[1] && losses[1] > losses[2])
+	// A lone holder is fully funded (weight 0) but still gives up a page.
+	fmt.Println("lone holder victim:", lottery.DrawVictim(src, []float64{0}, []int64{100}))
 	// Output:
-	// client 0 loss probability: 0.250
-	// client 1 loss probability: 0.333
-	// client 2 loss probability: 0.417
+	// largest holder lost most: true
+	// lone holder victim: 0
 }

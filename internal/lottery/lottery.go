@@ -1,8 +1,11 @@
-// Package lottery implements the randomized selection structures at
-// the core of lottery scheduling (§4.2 of the paper): a list-based
-// lottery with an optional move-to-front heuristic, a tree of partial
-// ticket sums with O(log n) draws, and the inverse lottery used for
-// space-shared resources (§6.2).
+// Package lottery implements the randomized selection at the core of
+// lottery scheduling (§4.2 of the paper). Draw is the one-shot counter
+// walk over a slice of weights, and DrawVictim is the same draw over
+// inverse weights that picks a loser for space-shared resources
+// (§6.2). The persistent structures keep their weights between draws:
+// List is a list-based lottery with an optional move-to-front
+// heuristic, and Tree is a tree of partial ticket sums with O(log n)
+// draws.
 //
 // The structures are weight-agnostic: weights are float64 base-unit
 // values produced by the ticket package (currency conversion can yield

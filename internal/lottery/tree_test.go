@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/random"
+	"repro/internal/stats"
 )
 
 func TestTreeBasics(t *testing.T) {
@@ -134,8 +135,8 @@ func TestTreeDistribution(t *testing.T) {
 }
 
 // TestTreeMatchesListDraws: with identical entry order and the same
-// random stream, tree and list lotteries pick the same winners (they
-// partition [0, total) into the same intervals).
+// random stream, the tree, the list and the slice Draw pick the same
+// winners (they partition [0, total) into the same intervals).
 func TestTreeMatchesListDraws(t *testing.T) {
 	weights := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
 	l := NewList[int](false)
@@ -146,11 +147,13 @@ func TestTreeMatchesListDraws(t *testing.T) {
 	}
 	srcA := random.NewPM(31415)
 	srcB := random.NewPM(31415)
+	srcC := random.NewPM(31415)
 	for i := 0; i < 20000; i++ {
 		wa, oka := l.Draw(srcA)
 		wb, okb := tr.Draw(srcB)
-		if !oka || !okb || wa != wb {
-			t.Fatalf("draw %d: list %v/%v tree %v/%v", i, wa, oka, wb, okb)
+		wc, okc := Draw(srcC, weights)
+		if !oka || !okb || !okc || wa != wb || wa != wc {
+			t.Fatalf("draw %d: list %v/%v tree %v/%v slice %v/%v", i, wa, oka, wb, okb, wc, okc)
 		}
 	}
 }
@@ -199,88 +202,65 @@ func TestTreeTotalInvariant(t *testing.T) {
 	}
 }
 
+// TestInverseLottery: DrawVictim picks victims in proportion to the
+// caller's inverse weights (χ² at the 99.9th percentile), and a zero
+// weight never loses while another weight is positive.
 func TestInverseLottery(t *testing.T) {
-	weights := []float64{3, 2, 1}
+	weights := []float64{0.45, 0.225, 0.05, 0} // (1 - t_i/T) · m_i/M
+	held := []int64{60, 30, 10, 5}
 	src := random.NewPM(2718)
 	const draws = 60000
 	counts := make([]int, len(weights))
 	for i := 0; i < draws; i++ {
-		v, err := DrawInverse(src, weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts[v]++
+		counts[DrawVictim(src, weights, held)]++
 	}
-	// Closed form: p_i = (1 - w_i/6) / 2 -> 1/4, 1/3, 5/12.
-	for i := range weights {
-		want := InverseProbability(weights, i)
-		got := float64(counts[i]) / draws
-		if math.Abs(got-want) > 0.01 {
-			t.Errorf("client %d victim rate = %v, want %v", i, got, want)
-		}
+	if counts[3] != 0 {
+		t.Fatalf("zero-weight holder lost %d times", counts[3])
 	}
-	// The better-funded client loses less often.
-	if !(counts[0] < counts[1] && counts[1] < counts[2]) {
-		t.Errorf("victim ordering wrong: %v", counts)
+	total := weights[0] + weights[1] + weights[2]
+	expected := make([]float64, 3)
+	for i := range expected {
+		expected[i] = draws * weights[i] / total
 	}
-}
-
-func TestInverseProbabilitiesSumToOne(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		if len(raw) > 20 {
-			raw = raw[:20]
-		}
-		weights := make([]float64, len(raw))
-		for i, r := range raw {
-			weights[i] = float64(r)
-		}
-		var sum float64
-		for i := range weights {
-			sum += InverseProbability(weights, i)
-		}
-		return math.Abs(sum-1) < 1e-9
+	chi2, err := stats.ChiSquare(counts[:3], expected)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if crit := stats.ChiSquareCritical999(2); chi2 > crit {
+		t.Errorf("victim counts %v vs expected %v: χ² = %.2f > %.2f", counts, expected, chi2, crit)
 	}
 }
 
-func TestInverseLotteryErrors(t *testing.T) {
-	src := random.NewPM(1)
-	if _, err := DrawInverse(src, []float64{1}); err == nil {
-		t.Error("single client accepted")
-	}
-	if _, err := DrawInverse(src, nil); err == nil {
-		t.Error("no clients accepted")
-	}
-	if _, err := DrawInverse(src, []float64{1, -2}); err == nil {
-		t.Error("negative weight accepted")
-	}
-}
-
+// TestInverseLotteryAllZero: with every inverse weight 0 the largest
+// holder is the victim (the first on a tie), and no random number is
+// drawn — the scripted source is empty and panics if read.
 func TestInverseLotteryAllZero(t *testing.T) {
-	src := random.NewPM(77)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		v, err := DrawInverse(src, []float64{0, 0, 0, 0})
-		if err != nil {
-			t.Fatal(err)
+	src := &random.Scripted{}
+	if v := DrawVictim(src, []float64{0, 0, 0}, []int64{10, 40, 40}); v != 1 {
+		t.Errorf("all-zero victim = %d, want 1 (first largest holder)", v)
+	}
+	if v := DrawVictim(src, []float64{0}, []int64{100}); v != 0 {
+		t.Errorf("lone fully funded holder: victim = %d, want 0", v)
+	}
+}
+
+// TestDrawNoWeightDrawsNothing: Draw reports false without consuming
+// a random number when there is nothing to allocate, so a caller's
+// fallback leaves a seeded stream where List.Draw would.
+func TestDrawNoWeightDrawsNothing(t *testing.T) {
+	src := &random.Scripted{}
+	for _, w := range [][]float64{nil, {}, {0}, {0, 0, 0}} {
+		if i, ok := Draw(src, w); ok {
+			t.Errorf("Draw(%v) = %d, true; want false", w, i)
 		}
-		counts[v]++
 	}
-	for i, c := range counts {
-		got := float64(c) / 40000
-		if math.Abs(got-0.25) > 0.01 {
-			t.Errorf("client %d rate = %v, want 0.25 (uniform fallback)", i, got)
+}
+
+func TestDrawNegativeWeightPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("negative weight accepted")
 		}
-	}
-	if InverseProbability([]float64{0, 0}, 0) != 0.5 {
-		t.Error("zero-total InverseProbability wrong")
-	}
-	if InverseProbability([]float64{1}, 0) != 0 {
-		t.Error("n=1 InverseProbability should be 0")
-	}
+	}()
+	Draw(random.NewPM(1), []float64{1, -2})
 }

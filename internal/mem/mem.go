@@ -162,22 +162,14 @@ func (m *Manager) VictimProbability(c *Client) float64 {
 // least one frame.
 func (m *Manager) selectVictim() *Client {
 	weights, clients := m.victimWeights()
-	l := lottery.NewList[*Client](false)
-	for i, w := range weights {
-		l.Add(clients[i], w)
+	if len(clients) == 0 {
+		return nil
 	}
-	if v, ok := l.Draw(m.src); ok {
-		return v
+	held := make([]int64, len(clients))
+	for i, c := range clients {
+		held[i] = int64(c.resident)
 	}
-	// All weights zero (e.g. a single client holding everything, or
-	// all residents fully funded): fall back to the largest holder.
-	var v *Client
-	for _, c := range clients {
-		if v == nil || c.resident > v.resident {
-			v = c
-		}
-	}
-	return v
+	return clients[lottery.DrawVictim(m.src, weights, held)]
 }
 
 // victimWeights computes the §6.2 weights w_i = (1 - t_i/T) * m_i/M

@@ -18,8 +18,8 @@ import (
 
 // benchDispatch measures end-to-end dispatch throughput: tasks/sec
 // from Submit through worker pickup to completion, with nclients
-// competing for the pool. Shards is pinned to 1 so the serial numbers
-// stay comparable with the pre-sharding history in BENCH_rt.json.
+// competing for the pool. Shards is pinned to 1 so these numbers
+// measure the single-shard serial path.
 func benchDispatch(b *testing.B, nclients int) {
 	benchDispatchCfg(b, nclients, Config{Workers: 2, Shards: 1, QueueCap: 4096, Seed: 42})
 }
@@ -55,8 +55,9 @@ func benchDispatchCfg(b *testing.B, nclients int, cfg Config) {
 
 // reportWaitTails merges the clients' enqueue-to-dispatch wait
 // histograms into one count vector and reports its p99/p99.9 in
-// nanoseconds — the tail metrics benchjson's -tailtol gate compares
-// in CI, so a throughput win bought with tail latency shows up red.
+// nanoseconds, so a throughput win bought with tail latency shows up
+// beside it. The histogram's buckets are factor-2 wide; perfbench's
+// exact-timestamp percentiles are the measurement of record.
 func reportWaitTails(b *testing.B, clients []*Client) {
 	var agg []uint64
 	for _, c := range clients {

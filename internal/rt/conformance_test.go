@@ -25,7 +25,11 @@ import (
 // tree and the winner sequence is exactly the seeded Park-Miller
 // stream, independent of goroutine interleaving. Backlogs are deep
 // enough that no client empties mid-window (asserted), so the tree
-// stays constant even if the window overshoots its target.
+// stays constant even if the window overshoots its target. Each window
+// also closes with the workers parked: Snapshot reads the shards one
+// at a time, and while workers run a shard read early misses draws
+// that a shard read late includes, so the closing counts are taken
+// only once no draw can land between the shard reads.
 func TestShareConformance(t *testing.T) {
 	const (
 		phaseDraws = 50000
@@ -92,8 +96,9 @@ func TestShareConformance(t *testing.T) {
 
 	// waitDispatched spins (no sleep: on one CPU a sleeping poller can
 	// wake tens of milliseconds — hence tens of thousands of draws —
-	// late) until the all-time dispatch count reaches target.
-	waitDispatched := func(target uint64) Snapshot {
+	// late) until the all-time dispatch count reaches target. The
+	// window closes after it, at the next park.
+	waitDispatched := func(target uint64) {
 		deadline := time.Now().Add(2 * time.Minute)
 		for i := 0; d.dispatched.Load() < target; i++ {
 			if i%4096 == 0 && time.Now().After(deadline) {
@@ -101,7 +106,6 @@ func TestShareConformance(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
-		return d.Snapshot()
 	}
 
 	counts := func(s Snapshot) map[string]uint64 {
@@ -188,19 +192,21 @@ func TestShareConformance(t *testing.T) {
 	base1s := d.Snapshot()
 	base1 := counts(base1s)
 	release1()
-	s1 := waitDispatched(base1s.Dispatched + phaseDraws)
+	waitDispatched(base1s.Dispatched + phaseDraws)
+	release2 := park("gate2") // exact cut: no draws during the Snapshot
+	s1 := d.Snapshot()
 	requireInvariants("static window")
 	requireBacklogged("static", s1, "A", "B", "C", "D")
 	checkPhase("static", delta(base1, counts(s1), "A", "B", "C", "D"), amounts)
 
 	// Dynamic phase: E joins with 500 tickets, A leaves immediately
-	// (queued work discarded). The workers are parked again while E
-	// fills and B, C, and D are topped back up to a full backlog.
+	// (queued work discarded). The workers are still parked from the
+	// static window's close while E fills and B, C, and D are topped
+	// back up to a full backlog.
 	// Checking only B, C, and E against the ratio 2:3:5 keeps the phase
 	// valid whether or not D's residual backlog survives the window:
 	// conditional shares among B, C, and E are 2:3:5 with or without D
 	// competing.
-	release2 := park("gate2")
 	e, err := d.NewClient("E", 500)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +227,10 @@ func TestShareConformance(t *testing.T) {
 		t.Error("abandoned client A still present in snapshot")
 	}
 	release2()
-	s2 := waitDispatched(base2s.Dispatched + phaseDraws)
+	waitDispatched(base2s.Dispatched + phaseDraws)
+	release3 := park("gate3")
+	s2 := d.Snapshot()
+	release3()
 	requireInvariants("dynamic window")
 	requireBacklogged("dynamic", s2, "B", "C", "E")
 	got2 := counts(s2)

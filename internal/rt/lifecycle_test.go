@@ -322,10 +322,9 @@ func TestCloseCtxDeadlineDiscardsBacklog(t *testing.T) {
 	}
 }
 
-// TestZeroWeightFallbackRotates mirrors sched's
-// TestStaticLotteryZeroFundingRotates: with zero total weight the
-// fallback must rotate among pending clients, not always serve the
-// earliest-created one.
+// TestZeroWeightFallbackRotates: with zero total weight the fallback
+// (shard.nextPendingLocked) must rotate among pending clients, not
+// always serve the earliest-created one.
 func TestZeroWeightFallbackRotates(t *testing.T) {
 	// One shard so both clients share a roster and the rotation is
 	// observable deterministically.

@@ -2,7 +2,6 @@ package overload
 
 import (
 	"repro/internal/lottery"
-	"repro/internal/random"
 	"repro/internal/rt"
 )
 
@@ -22,7 +21,7 @@ func (c *Controller) shedLocked() {
 		if len(cands) == 0 {
 			return
 		}
-		v := cands[drawShedVictim(c.rng, wts, depths)]
+		v := cands[lottery.DrawVictim(c.rng, wts, depths)]
 		k := c.cfg.ShedChunk
 		if k > need {
 			k = need
@@ -144,33 +143,4 @@ func (c *Controller) victimSetLocked() ([]*shedVictim, []float64, []int64) {
 		depths[i] = int64(v.depth)
 	}
 	return cands, wts, depths
-}
-
-// drawShedVictim holds the inverse lottery over the snapshotted
-// candidates — the same draw shape as the resource ledger's memory
-// revocation: weighted draw while any weight is positive, largest
-// backlog as the all-zero fallback (a lone fully-funded candidate has
-// weight (1-1)·1 = 0 but must still shed).
-func drawShedVictim(src random.Source, wts []float64, depths []int64) int {
-	var total float64
-	for _, w := range wts {
-		total += w
-	}
-	if total > 0 {
-		u := lottery.Uniform(src, total)
-		acc := 0.0
-		for i, w := range wts {
-			acc += w
-			if u < acc {
-				return i
-			}
-		}
-	}
-	best := 0
-	for i, d := range depths {
-		if d > depths[best] {
-			best = i
-		}
-	}
-	return best
 }

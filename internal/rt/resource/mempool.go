@@ -1,9 +1,6 @@
 package resource
 
-import (
-	"repro/internal/lottery"
-	"repro/internal/random"
-)
+import "repro/internal/lottery"
 
 // reclaimEv is one revocation, recorded under the lock and handed to
 // the OnReclaim hook after it is released.
@@ -42,7 +39,7 @@ func (l *Ledger) acquireMem(t *Tenant, n int64) error {
 			panic("resource: memory pressure with no victim candidates")
 		}
 		l.mu.Unlock()
-		v := cands[drawVictim(l.rng, wts, res)]
+		v := cands[lottery.DrawVictim(l.rng, wts, res)]
 		l.mu.Lock()
 		take := n - l.memFree
 		if take > v.memResident {
@@ -121,35 +118,6 @@ func (l *Ledger) victimSetLocked(cands []*Tenant, wts []float64, res []int64) ([
 		res = append(res, t.memResident)
 	}
 	return cands, wts, res
-}
-
-// drawVictim holds the inverse lottery over a snapshotted candidate
-// set; it takes no ledger lock (src locks internally). With all
-// weights zero (a lone candidate holding everything is fully funded:
-// 1 - t/T = 0) it falls back to the largest snapshotted holder,
-// mirroring internal/mem.
-func drawVictim(src random.Source, wts []float64, res []int64) int {
-	var total float64
-	for _, w := range wts {
-		total += w
-	}
-	if total > 0 {
-		u := lottery.Uniform(src, total)
-		acc := 0.0
-		for i, w := range wts {
-			acc += w
-			if u < acc {
-				return i
-			}
-		}
-	}
-	best := 0
-	for i, r := range res {
-		if r > res[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // pushMemLocked refreshes the tenant's residency gauge, the pool's

@@ -164,7 +164,7 @@ func (sh *shard) reweighLocked() {
 // nextPendingLocked rotates round-robin among the clients currently in
 // the shard's tree. It is the zero-total-weight fallback; always
 // returning the earliest-created client here would starve every other
-// pending client (cf. sched.StaticLottery's rotation).
+// pending client.
 func (sh *shard) nextPendingLocked() *Client {
 	n := len(sh.clients)
 	if n == 0 {

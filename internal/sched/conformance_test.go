@@ -22,7 +22,6 @@ func allPolicies() []policyCase {
 	return []policyCase{
 		{"lottery", func() Policy { return NewLottery(random.NewPM(11), false) }, true},
 		{"lottery-mtf", func() Policy { return NewLottery(random.NewPM(12), true) }, true},
-		{"static-lottery", func() Policy { return NewStaticLottery(random.NewPM(13)) }, true},
 		{"stride", func() Policy { return NewStride() }, true},
 		{"timesharing", func() Policy { return NewTimeSharing() }, true},
 		{"round-robin", func() Policy { return NewRoundRobin() }, true},
@@ -260,7 +259,7 @@ func TestConformancePickExcluding(t *testing.T) {
 func TestConformanceExclusionPreservesProportions(t *testing.T) {
 	for _, pc := range allPolicies() {
 		switch pc.name {
-		case "lottery", "lottery-mtf", "static-lottery", "stride":
+		case "lottery", "lottery-mtf", "stride":
 		default:
 			continue
 		}

@@ -33,6 +33,9 @@ type Lottery struct {
 	// to the run queue when it wakes, or I/O-bound threads would never
 	// receive their entitled share.
 	saved map[*Client]float64
+	// weights is PickExcluding's reused per-draw weight vector,
+	// parallel to ordered.
+	weights []float64
 	// stats
 	picks         uint64
 	searchLengths uint64
@@ -98,81 +101,46 @@ func (l *Lottery) Pick(now sim.Time) *Client {
 
 // PickExcluding implements Policy: the lottery is held over the
 // non-excluded entries only (clients running on other CPUs keep their
-// tickets active but cannot win a second processor).
+// tickets active but cannot win a second processor, so they draw with
+// weight 0).
 func (l *Lottery) PickExcluding(now sim.Time, excluded map[*Client]bool) *Client {
-	n := len(l.ordered)
-	if n == 0 {
-		return nil
-	}
-	total := 0.0
-	candidates := 0
+	l.weights = l.weights[:0]
 	for _, c := range l.ordered {
-		if excluded[c] {
-			continue
+		w := 0.0
+		if !excluded[c] {
+			w = l.effectiveWeight(c)
 		}
-		candidates++
-		total += l.effectiveWeight(c)
+		l.weights = append(l.weights, w)
 	}
-	if candidates == 0 {
-		return nil
-	}
-	l.picks++
 	var winner *Client
-	if total <= 0 {
+	if i, ok := lottery.Draw(l.src, l.weights); ok {
+		winner = l.ordered[i]
+		l.searchLengths += uint64(i + 1)
+		if l.MoveToFront && i > 0 {
+			copy(l.ordered[1:i+1], l.ordered[0:i])
+			l.ordered[0] = winner
+		}
+	} else {
 		// No funding anywhere (all currencies drained): rotate through
 		// the queue round-robin rather than idling the CPU forever.
 		// Zero-ticket clients have no entitlement (§2 promises wins
 		// only to clients with tickets), but burning idle cycles
 		// starving them would be gratuitous.
-		l.searchLengths++
 		for i, c := range l.ordered {
 			if excluded[c] {
 				continue
 			}
 			winner = c
 			copy(l.ordered[i:], l.ordered[i+1:])
-			l.ordered[n-1] = winner
+			l.ordered[len(l.ordered)-1] = winner
 			break
 		}
-	} else {
-		winning := lottery.Uniform(l.src, total)
-		var sum float64
-		for i, c := range l.ordered {
-			if excluded[c] {
-				continue
-			}
-			sum += l.effectiveWeight(c)
-			if winning < sum {
-				l.searchLengths += uint64(i + 1)
-				if l.MoveToFront && i > 0 {
-					copy(l.ordered[1:i+1], l.ordered[0:i])
-					l.ordered[0] = c
-				}
-				winner = c
-				break
-			}
-		}
 		if winner == nil {
-			// Round-off: give it to the last eligible client with
-			// positive weight.
-			l.searchLengths += uint64(n)
-			for i := n - 1; i >= 0; i-- {
-				c := l.ordered[i]
-				if !excluded[c] && l.effectiveWeight(c) > 0 {
-					winner = c
-					break
-				}
-			}
-			if winner == nil {
-				for i := n - 1; i >= 0; i-- {
-					if !excluded[l.ordered[i]] {
-						winner = l.ordered[i]
-						break
-					}
-				}
-			}
+			return nil
 		}
+		l.searchLengths++
 	}
+	l.picks++
 	l.comp[winner] = 1
 	return winner
 }

@@ -192,8 +192,16 @@ func TestLotteryZeroTotalDegradesGracefully(t *testing.T) {
 	now := sim.Time(0)
 	p.Add(a, now)
 	p.Add(b, now)
-	if c := p.Pick(now); c == nil {
+	first := p.Pick(now)
+	if first == nil {
 		t.Fatal("Pick returned nil with runnable but unfunded clients")
+	}
+	// The fallback rotates, so no unfunded client is starved.
+	if second := p.Pick(now); second == first {
+		t.Error("zero-funding fallback did not rotate")
+	}
+	if p.Pick(now) != first {
+		t.Error("rotation not cyclic")
 	}
 }
 
