@@ -23,8 +23,8 @@ package analysis
 // Lock tracking is the shared summary walker's (callgraph.go): the
 // same intra-procedural semantics lockemit pinned — matching
 // Lock/Unlock pairs, defer Unlock holding to function end, goroutine
-// bodies starting lock-free, immediately-invoked literals running
-// under the caller's locks, and the `sh := c.lockShard()` contract.
+// bodies starting lock-free, and immediately-invoked literals running
+// under the caller's locks.
 // Control-plane locks declared BlockExempt in LockOrder (the overload
 // controller's mu, whose tick emits by design) are not reported on.
 var BlockingLockAnalyzer = &Analyzer{

@@ -605,9 +605,9 @@ type progFinding struct {
 // lock set with lockemit's original intra-procedural semantics
 // (matching Lock/Unlock in a statement list, defer Unlock holding to
 // function end, branch bodies inheriting a copy, goroutines starting
-// lock-free, immediately-invoked literals running under the caller's
-// locks, and the lockShard-helper contract) and records acquisition,
-// blocking, and call events into the function's summary.
+// lock-free, and immediately-invoked literals running under the
+// caller's locks) and records acquisition, blocking, and call events
+// into the function's summary.
 type summaryWalker struct {
 	prog *Program
 	pkg  *Package
@@ -667,17 +667,6 @@ func (w *summaryWalker) stmt(stmt ast.Stmt, held map[string]heldRef) {
 			w.expr(arg, held)
 		}
 	case *ast.AssignStmt:
-		// sh := c.lockShard() (and the reacquire form sh = ...) returns
-		// with the shard mutex held: open a section on "<lhs>.mu", the
-		// same key its literal sh.mu.Unlock() will close.
-		if name, class, ok := w.lockShardAssign(s); ok {
-			w.expr(s.Rhs[0], held)
-			path := name + ".mu"
-			w.sum.acquires = append(w.sum.acquires, acqEvent{
-				class: class, path: path, pos: s.Pos(), held: heldSnapshot(held)})
-			held[path] = heldRef{class: class, path: path, pos: s.Pos()}
-			return
-		}
 		for _, e := range s.Rhs {
 			w.expr(e, held)
 		}
@@ -928,38 +917,6 @@ func (w *summaryWalker) lockOp(e ast.Expr) (path string, op lockOpKind, ok bool)
 		return path, lockRelease, true
 	}
 	return "", 0, false
-}
-
-// lockShardAssign recognizes `sh := c.lockShard()` / `sh = c.lockShard()`
-// — a single identifier assigned from a method call whose static
-// callee is named lockShard. The helper's contract is that it returns
-// its receiver's shard with that shard's mutex held.
-func (w *summaryWalker) lockShardAssign(s *ast.AssignStmt) (name, class string, ok bool) {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
-		return "", "", false
-	}
-	id, isIdent := s.Lhs[0].(*ast.Ident)
-	if !isIdent || id.Name == "_" {
-		return "", "", false
-	}
-	call, isCall := s.Rhs[0].(*ast.CallExpr)
-	if !isCall {
-		return "", "", false
-	}
-	fn := calleeFunc(w.pkg.TypesInfo, call)
-	if fn == nil || fn.Name() != "lockShard" {
-		return "", "", false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return "", "", false
-	}
-	if sig.Results().Len() == 1 {
-		if named, isNamed := derefType(sig.Results().At(0).Type()).(*types.Named); isNamed {
-			class = fieldLockClass(named, "mu")
-		}
-	}
-	return id.Name, class, true
 }
 
 // exprPath renders a selector/identifier chain ("d.mu", "c.d.mu") as a

@@ -25,8 +25,9 @@ import (
 // Lock identity is the class "pkgpath.Type.field" (or "pkgpath.var"):
 // every instance of a class shares a rank, so multi-instance classes
 // that self-order (per-shard mutexes, locked in ascending shard-id
-// order by construction — see rebalance.go) are declared MultiInstance
-// and exempt from same-class reports.
+// order by construction — see lockAllShards, used by CheckInvariants
+// and Snapshot) are declared MultiInstance and exempt from same-class
+// reports.
 var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforces the declared global mutex order and reports ordering cycles and double acquisition",

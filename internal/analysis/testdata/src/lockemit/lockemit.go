@@ -134,32 +134,27 @@ type clientFix struct {
 	obs observer
 }
 
-// lockShard mirrors rt.Client.lockShard: it resolves the client's
-// shard and returns with that shard's mutex held.
-func (c *clientFix) lockShard() *shardFix {
+// shardHelperAcquires mirrors the rt shard-lock shape: the client's
+// fixed home shard is loaded into a local and its mutex locked, which
+// opens a critical section on sh.mu.
+func (c *clientFix) shardHelperAcquires() {
 	sh := c.sh
 	sh.mu.Lock()
-	return sh
-}
-
-// shardHelperAcquires: sh := c.lockShard() opens a critical section on
-// sh.mu even though no literal sh.mu.Lock() appears.
-func (c *clientFix) shardHelperAcquires() {
-	sh := c.lockShard()
 	c.obs.Observe(event{10}) // want "observer event emission"
 	sh.mu.Unlock()
 	c.obs.Observe(event{11}) // fine: shard lock released
 }
 
 // shardReacquireLoop mirrors the submit backpressure wait: unlock,
-// block outside the lock, reacquire through the helper — the blocking
-// receive must stay clean and the reacquired region must be checked.
+// block outside the lock, reacquire — the blocking receive must stay
+// clean and the reacquired region must be checked.
 func (c *clientFix) shardReacquireLoop(ch chan int) {
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	for i := 0; i < 2; i++ {
 		sh.mu.Unlock()
 		<-ch // fine: shard lock released across the wait
-		sh = c.lockShard()
+		sh.mu.Lock()
 		c.obs.Observe(event{12}) // want "observer event emission"
 	}
 	sh.mu.Unlock()
@@ -168,7 +163,8 @@ func (c *clientFix) shardReacquireLoop(ch chan int) {
 // shardSettleShape is the correct runDrawn pattern: bookkeeping under
 // the shard lock, emission after release.
 func (c *clientFix) shardSettleShape() {
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	sh.mu.Unlock()
 	c.obs.Observe(event{13}) // fine: emitted outside the shard lock
 }
@@ -177,7 +173,8 @@ func (c *clientFix) shardSettleShape() {
 // the queue under the shard lock, but their shed events are emitted
 // only after release.
 func (c *clientFix) shedCollectShape(n int) {
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	victims := make([]event, 0, n)
 	for i := 0; i < n; i++ {
 		victims = append(victims, event{14})
@@ -191,7 +188,8 @@ func (c *clientFix) shedCollectShape(n int) {
 // shedEmitUnderLock is the bug the shape above avoids: per-victim
 // emission from inside the eviction loop, still under the shard lock.
 func (c *clientFix) shedEmitUnderLock(n int) {
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	for i := 0; i < n; i++ {
 		c.obs.Observe(event{15}) // want "observer event emission"
 	}

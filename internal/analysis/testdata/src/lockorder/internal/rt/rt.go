@@ -53,10 +53,10 @@ func (d *Dispatcher) invertViaHelper() {
 	d.lockFirst() // want "against the declared lock order"
 }
 
-// rebalance holds two shard mus at once: shard.mu is declared
+// lockPair holds two shard mus at once: shard.mu is declared
 // multi-instance (ascending-id discipline by construction), so this is
 // silent.
-func (d *Dispatcher) rebalance(a, b *shard) {
+func (d *Dispatcher) lockPair(a, b *shard) {
 	a.mu.Lock()
 	b.mu.Lock()
 	a.work, b.work = b.work, a.work

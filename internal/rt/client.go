@@ -38,13 +38,11 @@ func WithOverflow(p OverflowPolicy) ClientOption { return func(c *Client) { c.po
 // NewClient or Tenant.NewClient and retired with Leave. All methods
 // are safe for concurrent use.
 //
-// Every client is homed on one dispatcher shard at a time (sh); its
-// queue, tree membership, compensation, and counters are guarded by
-// that shard's mutex, reached through lockShard (the rebalancer may
-// migrate the client, so the home is re-checked under the lock).
-// Graph-derived state (fundingVal, left, torn) is written while
-// holding both the shard mutex and graphMu, and may be read under
-// either.
+// Every client is homed on one dispatcher shard (sh) for its whole
+// life; its queue, tree membership, compensation, and counters are
+// guarded by that shard's mutex. Graph-derived state (fundingVal,
+// left, torn) is written while holding both the shard mutex and
+// graphMu, and may be read under either.
 type Client struct {
 	d       *Dispatcher
 	tenant  *Tenant
@@ -53,9 +51,8 @@ type Client struct {
 	funding *ticket.Ticket // tenant currency -> holder
 	policy  OverflowPolicy
 
-	// sh is the client's current home shard, written only by the
-	// rebalancer (holding both shard mutexes) and at creation.
-	sh atomic.Pointer[shard]
+	// sh is the client's home shard, assigned once at creation.
+	sh *shard
 
 	// waitCh, when non-nil, is closed to wake Block-policy submitters
 	// waiting for queue room; each waiter round lazily allocates a
@@ -311,7 +308,8 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 		return nil, fail
 	}
 
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	// Drain the ring before enqueueing directly: messages published
 	// before this submission must reach the queue first, keeping the
 	// client's FIFO order across the two paths.
@@ -342,10 +340,10 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 			return failNow(acts, ErrQueueFull)
 		}
 		// Wait for room off the shard lock: waiters share a channel
-		// whose close is the broadcast (a sync.Cond cannot follow the
-		// client across a shard migration). Fast-path submitters may
-		// steal the slot a pop just freed, so the reservation is
-		// re-attempted under the lock each round.
+		// whose close is the broadcast, so a waiter can also select on
+		// its context. Fast-path submitters may steal the slot a pop
+		// just freed, so the reservation is re-attempted under the lock
+		// each round.
 		ch := c.waitChLocked()
 		// The drain above may have placed work (pending, tree); publish
 		// before unlocking or workers scanning the stale hints would
@@ -373,7 +371,7 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 		} else {
 			<-ch
 		}
-		sh = c.lockShard()
+		sh.mu.Lock()
 		acts = d.drainRingLocked(sh)
 	}
 	enqueued := time.Now()
@@ -438,7 +436,7 @@ func (c *Client) submitFast(ctx context.Context, fn func(), detached bool, res R
 	if cancellable {
 		m.ctx = ctx
 	}
-	sh := c.sh.Load()
+	sh := c.sh
 	sh.ringPending.Add(1)
 	if d.closed.Load() {
 		// Close may already be past its sweep; rather than publish into
@@ -622,7 +620,8 @@ func (c *Client) Tickets() ticket.Amount {
 // destroyed. Blocked submitters are woken with ErrClientLeft.
 func (c *Client) Leave() {
 	d := c.d
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	// Drain the shard's ring first: submissions accepted before Leave
 	// must reach the queue so they still run (fresh publishes racing
 	// Leave may instead complete with ErrClientLeft at their drain).
@@ -648,7 +647,8 @@ func (c *Client) Leave() {
 // finishes normally. Use Leave to let queued work drain instead.
 func (c *Client) Abandon() {
 	d := c.d
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	// Ringed submissions drain into the queue first and are then
 	// dropped with everything else below.
 	acts := d.drainRingLocked(sh)
@@ -705,7 +705,8 @@ func (c *Client) Shed(n int) int {
 		return 0
 	}
 	d := c.d
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	// Drain first so ringed submissions are sheddable too: the
 	// overload controller sizes its shed from Pending(), which counts
 	// them.

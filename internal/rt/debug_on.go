@@ -3,9 +3,9 @@
 package rt
 
 // debugCheck runs the full invariant sweep after every task
-// completion, queued-task cancellation, and shard rebalance. Only
-// built with -tags lotterydebug; the default build compiles this away
-// entirely (see debug_off.go). The sweep acquires every shard mutex
+// completion, queued-task cancellation, shed, and ring-drain cleanup.
+// Only built with -tags lotterydebug; the default build compiles this
+// away entirely (see debug_off.go). The sweep acquires every shard mutex
 // plus the graph lock itself, so it must be called with no dispatcher
 // locks held. A violation is a scheduler bug, never an input error,
 // so it panics.

@@ -73,10 +73,6 @@ const snapCoolTrial = 8
 // preserves their differences (the only thing stride compares).
 const passRenorm = 1e12
 
-// defaultRebalanceEvery is the rebalancer period when the config
-// leaves it zero.
-const defaultRebalanceEvery = 100 * time.Millisecond
-
 // Config parameterizes a Dispatcher. The zero value is usable: a
 // worker per processor, a shard per processor, 1024-entry queues, and
 // no compensation.
@@ -105,12 +101,6 @@ type Config struct {
 	ExpectedSlice time.Duration
 	// MaxCompensation caps the compensation multiplier; default 1000.
 	MaxCompensation float64
-	// RebalanceEvery is the period of the shard-weight rebalancer,
-	// which migrates clients from the heaviest to the lightest shard
-	// when their published total weights drift apart; default 100ms.
-	// Negative disables rebalancing. With one shard there is nothing
-	// to balance and no goroutine is started.
-	RebalanceEvery time.Duration
 	// Observer, when non-nil, receives a structured Event for every
 	// submit, dispatch, completion, cancellation, rejection, panic,
 	// compensation grant, and ticket transfer. Nil disables emission
@@ -244,7 +234,6 @@ type Dispatcher struct {
 	panicked     atomic.Uint64
 	cancelled    atomic.Uint64 // tasks cancelled while queued or ringed
 	shed         atomic.Uint64 // tasks evicted by overload shedding
-	rebalanced   atomic.Uint64 // clients migrated between shards
 	snapRebuilds atomic.Uint64 // lock-free draw snapshots rebuilt after a weight change
 	ringFull     atomic.Uint64 // submit-ring publishes that fell back to the locked submit path
 
@@ -253,10 +242,6 @@ type Dispatcher struct {
 	// controller's inflation-conservation check. Guarded by checksMu.
 	checksMu sync.Mutex
 	checks   []func() error
-
-	balEvery time.Duration
-	balStop  chan struct{}
-	balOnce  sync.Once
 }
 
 // New creates a dispatcher and starts its worker pool.
@@ -276,9 +261,6 @@ func New(cfg Config) *Dispatcher {
 	if cfg.MaxCompensation <= 1 {
 		cfg.MaxCompensation = maxCompensation
 	}
-	if cfg.RebalanceEvery == 0 {
-		cfg.RebalanceEvery = defaultRebalanceEvery
-	}
 	d := &Dispatcher{
 		tickets:  ticket.NewSystem(),
 		slice:    cfg.ExpectedSlice,
@@ -290,8 +272,6 @@ func New(cfg Config) *Dispatcher {
 		aud:      cfg.Audit,
 		ledger:   cfg.Resources,
 		predraw:  runtime.GOMAXPROCS(0) > 1,
-		balEvery: cfg.RebalanceEvery,
-		balStop:  make(chan struct{}),
 	}
 	if d.ledger != nil && d.obs != nil {
 		// Surface the ledger's enforcement as dispatcher events. The
@@ -334,10 +314,6 @@ func New(cfg Config) *Dispatcher {
 	d.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go d.worker(i, rngs.Shard(cfg.Shards+i))
-	}
-	if cfg.Shards > 1 && cfg.RebalanceEvery > 0 {
-		d.wg.Add(1)
-		go d.rebalancer()
 	}
 	return d
 }
@@ -415,7 +391,6 @@ func (d *Dispatcher) CloseTimeout(timeout time.Duration) error {
 // full graceful drain and ctx.Err() if the backlog was cut short.
 func (d *Dispatcher) CloseCtx(ctx context.Context) error {
 	if d.closed.CompareAndSwap(false, true) {
-		d.balOnce.Do(func() { close(d.balStop) })
 		for _, sh := range d.shards {
 			sh.mu.Lock()
 			for _, c := range sh.clients {
@@ -530,7 +505,8 @@ func (d *Dispatcher) discardQueued() []*Task {
 func (d *Dispatcher) cancelQueued(t *Task) {
 	c := t.client
 	if atomic.CompareAndSwapInt32(&t.state, taskRinged, taskCancelledRing) {
-		sh := c.lockShard()
+		sh := c.sh
+		sh.mu.Lock()
 		c.noteRingCancelLocked()
 		sh.mu.Unlock()
 		atomic.StoreInt32(&t.state, taskDone)
@@ -548,7 +524,8 @@ func (d *Dispatcher) cancelQueued(t *Task) {
 		d.debugCheck()
 		return
 	}
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	if atomic.LoadInt32(&t.state) != taskQueued || !c.removeQueuedLocked(sh, t) {
 		sh.mu.Unlock()
 		return
@@ -582,21 +559,17 @@ type drawn struct {
 	seq  uint64
 }
 
-// drainAction is the out-of-lock work a ring drain leaves behind:
-// either a task to complete (cancelled while ringed, or its client
-// left) or a message to re-route through the slow path because the
-// destination shard's ring was full mid-forward.
+// drainAction is the out-of-lock work a ring drain leaves behind: a
+// task to complete because it was cancelled while ringed or its
+// client left.
 type drainAction struct {
-	t       *Task
-	err     error
-	m       ringMsg
-	requeue bool
+	t   *Task
+	err error
 }
 
 // drainRingLocked empties sh's submit ring into its clients' queues.
-// Callers hold sh.mu; dead submissions and forwarding overflow come
-// back as drainActions for the caller to settle via finishActions
-// once the lock is dropped.
+// Callers hold sh.mu; dead submissions come back as drainActions for
+// the caller to settle via finishActions once the lock is dropped.
 func (d *Dispatcher) drainRingLocked(sh *shard) []drainAction {
 	var acts []drainAction
 	for {
@@ -605,19 +578,6 @@ func (d *Dispatcher) drainRingLocked(sh *shard) []drainAction {
 			return acts
 		}
 		sh.ringPending.Add(-1)
-		if home := m.c.sh.Load(); home != sh {
-			// The client migrated between publish and drain: forward the
-			// message to its current home's ring. Only its home shard's
-			// consumer may touch the client's queue.
-			home.ringPending.Add(1)
-			if home.ring.publish(m) {
-				continue
-			}
-			home.ringPending.Add(-1)
-			d.ringFull.Add(1)
-			acts = append(acts, drainAction{m: m, requeue: true})
-			continue
-		}
 		if a, dead := d.placeLocked(sh, m); dead {
 			acts = append(acts, a)
 		}
@@ -693,15 +653,10 @@ func (d *Dispatcher) placeLocked(sh *shard, m ringMsg) (drainAction, bool) {
 }
 
 // finishActions settles a drain's out-of-lock leftovers: dead
-// submissions complete (with an EventCancel, mirroring the queued
-// cancel path), forwarding overflow re-enters through the slow path.
-// Must be called with no dispatcher lock held.
+// submissions complete with an EventCancel, mirroring the queued
+// cancel path. Must be called with no dispatcher lock held.
 func (d *Dispatcher) finishActions(acts []drainAction) {
 	for _, a := range acts {
-		if a.requeue {
-			d.enqueueSlow(a.m)
-			continue
-		}
 		if d.obs != nil {
 			d.obs.Observe(Event{At: time.Now(), Kind: EventCancel, Client: a.t.client.name,
 				Tenant: a.t.client.tenant.name, Err: a.err.Error()})
@@ -711,22 +666,6 @@ func (d *Dispatcher) finishActions(acts []drainAction) {
 	if len(acts) > 0 {
 		d.debugCheck()
 	}
-}
-
-// enqueueSlow re-routes a ring message that could not be forwarded to
-// its client's current home ring. Admission was already decided at
-// publish time (the client's depth still counts the task), so the
-// message is placed directly, with only the usual dead checks.
-func (d *Dispatcher) enqueueSlow(m ringMsg) {
-	sh := m.c.lockShard()
-	a, dead := d.placeLocked(sh, m)
-	sh.publishLocked()
-	sh.mu.Unlock()
-	if dead {
-		d.finishActions([]drainAction{a})
-		return
-	}
-	d.wake()
 }
 
 // worker is one pool goroutine: pick a shard by stride over the
@@ -791,10 +730,15 @@ func (d *Dispatcher) worker(id int, rng *random.PM) {
 
 // pickShard chooses the shard this worker draws from next: a stride
 // walk (smallest pass first, advanced by work/weight) over the shards
-// that currently have both pending work and positive published
-// weight. Stride rather than a second lottery keeps the inter-shard
-// level deterministic per worker, so sharding adds no draw variance
-// on top of the per-shard lotteries. Returns -1 with no eligible
+// that currently have pending work and either positive published
+// weight or a ring backlog. A shard whose only work is still in its
+// submit ring has no weight until someone drains it, and nothing else
+// drains it while other shards keep every worker busy; counting it
+// eligible makes the next visit drain the ring and enter the new
+// clients into the shard's tree at the current virtual time. Stride
+// rather than a second lottery keeps the inter-shard level
+// deterministic per worker, so sharding adds no draw variance on top
+// of the per-shard lotteries. Returns -1 with no eligible
 // shard; if some shard has pending work but every one of them has
 // zero weight, service degrades to round-robin over pending shards
 // (mirroring the intra-shard zero-weight fallback).
@@ -810,7 +754,7 @@ func (d *Dispatcher) pickShard(pass []float64, elig, wasElig []bool, rr *int) in
 	vt := math.Inf(1)
 	for i, sh := range d.shards {
 		p := sh.hasWork()
-		elig[i] = p && sh.weightPub.Load() > 0
+		elig[i] = p && (sh.weightPub.Load() > 0 || sh.ringPending.Load() > 0)
 		if p {
 			anyPending = true
 		}
@@ -988,7 +932,7 @@ func (d *Dispatcher) drawBatch(sh *shard, rng *random.PM, batch *[batchK]drawn) 
 }
 
 // runDrawn runs one winner outside all locks and settles its
-// compensation against the client's current shard. worker is the pool
+// compensation under the client's shard lock. worker is the pool
 // goroutine's id, recorded into sampled spans.
 func (d *Dispatcher) runDrawn(dr *drawn, worker int) {
 	c, t := dr.c, dr.t
@@ -1038,7 +982,8 @@ func (d *Dispatcher) runDrawn(dr *drawn, worker int) {
 				comp = d.maxComp
 			}
 		}
-		sh := c.lockShard()
+		sh := c.sh
+		sh.mu.Lock()
 		// Only the client's most recent dispatch may settle: a slow
 		// task finishing late must not overwrite (or resurrect) a
 		// boost the client already consumed by winning again on
@@ -1094,25 +1039,6 @@ func (d *Dispatcher) wake() {
 	d.idleMu.Lock()
 	d.idleCond.Signal()
 	d.idleMu.Unlock()
-}
-
-// rebalancer periodically migrates clients from the heaviest to the
-// lightest shard when their published weights drift apart; see
-// rebalanceOnce for the policy.
-func (d *Dispatcher) rebalancer() {
-	defer d.wg.Done()
-	tick := time.NewTicker(d.balEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-d.balStop:
-			return
-		case <-tick.C:
-			if d.rebalanceOnce() > 0 {
-				d.debugCheck()
-			}
-		}
-	}
 }
 
 // runTask executes the task body, converting a panic into an error so

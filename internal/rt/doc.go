@@ -27,8 +27,8 @@
 // The dispatcher adds the robustness a wall-clock system needs and a
 // simulator does not: bounded per-client queues with block or reject
 // backpressure, panic isolation per task, graceful drain on Close, and
-// an atomic Snapshot with per-client achieved vs. entitled share and
-// wait-latency percentiles.
+// a Snapshot with per-client achieved vs. entitled share and
+// wait-latency percentiles whose counts are an exact cut.
 //
 // # Task lifecycle
 //
@@ -51,34 +51,30 @@
 // task. CloseCtx / CloseTimeout drain with a deadline: queued tasks
 // still outstanding when the deadline passes are completed with
 // ErrClosed without running, while in-flight tasks always finish.
-// SubmitRetry layers exponential backoff over ErrQueueFull for
-// Reject-policy clients.
 //
 // # Sharded dispatch
 //
 // Dispatcher state is sharded (Config.Shards, default GOMAXPROCS):
-// clients are spread across shards, each with its own mutex, lottery
-// tree, and Park-Miller stream, so submits and draws for clients on
-// different shards proceed in parallel. Workers pick a shard by a
-// deterministic per-worker stride walk over the shards' published
-// total weights — the inter-shard level of a two-level lottery, the
-// currency abstraction turned into a concurrency structure — then
-// draw winners inside that shard's tree, up to K per lock
-// acquisition while a deep backlog makes batching safe. The ticket
-// currency graph stays global behind its own lock and is consulted
-// off the draw path only after it actually changes (an epoch counter
-// batches reweighs, the sharded successor of the old weightsDirty
-// flag); a periodic rebalancer migrates clients between shards when
-// their total weights drift apart. SubmitDetached recycles task
-// bookkeeping through a pool, making the steady-state submit path
+// clients are placed round-robin across shards at creation and stay
+// there for life. Each shard has its own mutex, lottery tree, and
+// Park-Miller stream, so submits and draws for clients on different
+// shards proceed in parallel. Workers pick a shard by a deterministic
+// per-worker stride walk over the shards' published total weights —
+// the inter-shard level of a two-level lottery, the currency
+// abstraction turned into a concurrency structure — then draw winners
+// inside that shard's tree, up to K per lock acquisition while a deep
+// backlog makes batching safe. The ticket currency graph stays global
+// behind its own lock and is consulted off the draw path only after it
+// actually changes (an epoch counter batches reweighs, the sharded
+// successor of the old weightsDirty flag). SubmitDetached recycles
+// task bookkeeping through a pool, making the steady-state submit path
 // allocation-free. See DESIGN.md §7 for the full structure.
 //
-// One consistency contract changed with sharding: Snapshot is now
-// eventually consistent rather than atomic. It visits shards one at a
-// time — each shard's rows are internally consistent, but counts
-// taken while work is in flight may disagree across shards by the few
-// tasks that moved between visits — in exchange, taking a snapshot no
-// longer stalls dispatch.
+// Snapshot locks every shard in id order, the same sweep
+// CheckInvariants makes, and copies the per-client counters and the
+// dispatched, cancelled and shed totals under those locks, so they
+// form one consistent cut. The locks are held only for the copy;
+// funding valuation and wait quantiles are computed after release.
 //
 // # Lock-free dispatch
 //
@@ -120,10 +116,9 @@
 // drift (see internal/rt/audit). Both are nil-cheap: unset, the only
 // cost is a predictable branch per site (BenchmarkTraceOverhead).
 //
-// Like Snapshot, audit windows are eventually consistent across
-// shards: dispatches are counted as workers complete draws, so a
-// window boundary is not a cut through simultaneous shard states —
-// draws racing the boundary land in the adjacent window. Window
-// verdicts are exact over the draws they counted; they are not an
-// instantaneous global cut.
+// Unlike Snapshot, audit windows are not a cut across shards:
+// dispatches are counted as workers complete draws, outside the shard
+// locks, so draws racing a window boundary land in the adjacent
+// window. Window verdicts are exact over the draws they counted; they
+// are not an instantaneous global cut.
 package rt

@@ -47,17 +47,13 @@ import (
 // Safe for concurrent use; it locks every shard (in shard order) plus
 // the ticket graph for the whole check, so treat it as a
 // stop-the-world probe for tests, fuzzing, and the lotterydebug build
-// (which runs it after every completion and rebalance).
+// (which runs it after every completion, cancellation and shed).
 func CheckInvariants(d *Dispatcher) error {
-	for _, sh := range d.shards {
-		sh.mu.Lock()
-	}
+	d.lockAllShards()
 	d.graphMu.Lock()
 	err := d.checkInvariantsLocked()
 	d.graphMu.Unlock()
-	for i := len(d.shards) - 1; i >= 0; i-- {
-		d.shards[i].mu.Unlock()
-	}
+	d.unlockAllShards()
 	if err == nil && d.ledger != nil {
 		// The ledger has its own lock, below every dispatcher lock in
 		// the order; checking it after the dispatcher sweep keeps the
@@ -113,7 +109,7 @@ func (d *Dispatcher) checkInvariantsLocked() error {
 				if !sc.inTree {
 					return fmt.Errorf("rt: shard %d current snapshot lists non-competing client %q", sh.id, sc.name)
 				}
-				if sc.sh.Load() != sh {
+				if sc.sh != sh {
 					return fmt.Errorf("rt: shard %d current snapshot lists client %q homed elsewhere", sh.id, sc.name)
 				}
 				// Non-decreasing, not strictly: a weight smaller than the
@@ -152,7 +148,7 @@ func (d *Dispatcher) checkInvariantsLocked() error {
 				return fmt.Errorf("rt: client %q dispatched+cancelled+shed %d > submitted %d",
 					c.name, done, c.submittedN)
 			}
-			if c.sh.Load() != sh {
+			if c.sh != sh {
 				return fmt.Errorf("rt: client %q in shard %d's roster but homed elsewhere", c.name, sh.id)
 			}
 			tenants[c.tenant]++

@@ -108,7 +108,8 @@ func TestSubmitCtxCancelEmptiesQueueLeavesLottery(t *testing.T) {
 	// does that first, but the only worker here is parked). Force the
 	// drain so the peek below observes the queued state.
 	drainRings(d)
-	sh := c.lockShard()
+	sh := c.sh
+	sh.mu.Lock()
 	inTree := c.inTree
 	sh.mu.Unlock()
 	if !inTree {
@@ -116,7 +117,7 @@ func TestSubmitCtxCancelEmptiesQueueLeavesLottery(t *testing.T) {
 	}
 	cancel()
 	<-task.Done()
-	sh = c.lockShard()
+	sh.mu.Lock()
 	inTree = c.inTree
 	d.graphMu.Lock()
 	active := c.holder.Active()

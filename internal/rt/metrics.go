@@ -46,8 +46,6 @@ func newRTMetrics(r *metrics.Registry, d *Dispatcher) *rtMetrics {
 		func() float64 { return float64(d.cancelled.Load()) })
 	r.CounterFunc("rt_shed_total", "Tasks evicted while queued by overload load shedding.",
 		func() float64 { return float64(d.shed.Load()) })
-	r.CounterFunc("rt_rebalances_total", "Clients migrated between shards by the weight rebalancer.",
-		func() float64 { return float64(d.rebalanced.Load()) })
 	r.CounterFunc("rt_snapshot_rebuilds_total", "Lock-free draw snapshots rebuilt after a tree change.",
 		func() float64 { return float64(d.snapRebuilds.Load()) })
 	r.CounterFunc("rt_ring_full_total", "Submit-ring publishes that fell back to the locked submit path.",

@@ -14,14 +14,18 @@ import (
 // mutex. Submits, draws, and weight updates for a client touch only
 // that client's shard, so clients on different shards never contend.
 //
+// A client is placed on a shard once, at creation, and never moves,
+// so the shard's roster changes only by joins and teardowns under mu.
+//
 // Each shard publishes its pending count and total tree weight into
 // atomics (pendingPub, weightPub) before releasing its mutex after any
-// change, so the inter-shard picker and the rebalancer can weigh
-// shards against each other without taking any shard lock.
+// change, so the inter-shard picker can weigh shards against each
+// other without taking any shard lock.
 //
 // Lock order: shard.mu → graphMu. Multiple shard mutexes are only ever
-// held together in ascending shard-id order (rebalancer, invariant
-// sweep). The shard never emits events or blocks while holding mu.
+// held together in ascending shard-id order (lockAllShards, used by
+// Snapshot and the invariant sweep). The shard never emits events or
+// blocks while holding mu.
 type shard struct {
 	d  *Dispatcher
 	id int
@@ -189,19 +193,19 @@ func (sh *shard) removeClientLocked(c *Client) {
 	}
 }
 
-// lockShard locks and returns the client's current home shard. The
-// rebalancer may migrate a client between loading the pointer and
-// acquiring the mutex, so the home is re-checked under the lock
-// (migration happens with both shard locks held, making the check
-// race-free). On return the shard's mutex is held and the client is
-// pinned to it until the caller unlocks.
-func (c *Client) lockShard() *shard {
-	for {
-		sh := c.sh.Load()
+// lockAllShards locks every shard mutex in ascending id order, the
+// only order in which two shard mutexes are ever held together. With
+// all of them held no client's queue, counters or tree entry can
+// change, and no dispatch, cancellation or shed can be counted.
+func (d *Dispatcher) lockAllShards() {
+	for _, sh := range d.shards {
 		sh.mu.Lock()
-		if c.sh.Load() == sh {
-			return sh
-		}
-		sh.mu.Unlock()
+	}
+}
+
+// unlockAllShards releases what lockAllShards took, in reverse order.
+func (d *Dispatcher) unlockAllShards() {
+	for i := len(d.shards) - 1; i >= 0; i-- {
+		d.shards[i].mu.Unlock()
 	}
 }

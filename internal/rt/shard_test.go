@@ -1,8 +1,12 @@
 package rt
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,72 +205,6 @@ func TestShardedShareConformance(t *testing.T) {
 	}
 }
 
-// TestRebalanceMigratesAndConserves skews the weight distribution
-// across two shards and verifies that the periodic rebalancer
-// actually migrates clients, that migration preserves base-unit
-// conservation in the ticket graph, and that every migrated client's
-// queued work still runs.
-func TestRebalanceMigratesAndConserves(t *testing.T) {
-	d := New(Config{Workers: 1, Shards: 2, QueueCap: 128, Seed: 3, RebalanceEvery: time.Millisecond})
-	defer d.Close()
-
-	release := parkGate(t, d, "gate")
-
-	// Round-robin placement alternates shards; funding one client at
-	// 10000 tickets makes its shard dwarf the other, so the rebalancer
-	// must move some light clients the other way. The skew is set up
-	// before the backlogs are submitted: published shard weights
-	// refresh on the dispatch path, and with every worker parked the
-	// submit-time publish is what the rebalancer sees.
-	const n = 8
-	clients := make([]*Client, n)
-	for i := range clients {
-		amount := ticket.Amount(100)
-		if i == 0 {
-			amount = 10000
-		}
-		c, err := d.NewClient(fmt.Sprintf("c%d", i), amount)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[i] = c
-		for j := 0; j < 4; j++ {
-			if _, err := c.Submit(func() {}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	waitUntil(t, "rebalancer migrated a client", func() bool {
-		return d.Snapshot().Rebalances >= 1
-	})
-	if err := CheckInvariants(d); err != nil {
-		t.Fatalf("after migration: %v", err)
-	}
-	// Base-unit conservation, checked directly at the source of truth:
-	// migration rehomes dispatcher bookkeeping only, so the currency
-	// graph must still balance exactly.
-	d.graphMu.Lock()
-	err := d.tickets.Check()
-	d.graphMu.Unlock()
-	if err != nil {
-		t.Fatalf("ticket conservation after migration: %v", err)
-	}
-
-	release()
-	waitUntil(t, "all queued work ran after migration", func() bool {
-		for _, cs := range d.Snapshot().Clients {
-			if cs.QueueDepth > 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if err := CheckInvariants(d); err != nil {
-		t.Fatalf("after drain: %v", err)
-	}
-}
-
 // TestSnapshotDoesNotStallDispatch is the regression test for the
 // sharded Snapshot: under full saturation a storm of concurrent
 // snapshots must not stall dispatch (the pre-shard implementation
@@ -326,6 +264,253 @@ func TestSnapshotDoesNotStallDispatch(t *testing.T) {
 	if snaps := <-stormDone; snaps == 0 {
 		t.Fatal("snapshot storm never completed a snapshot")
 	}
+	if err := CheckInvariants(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotIsExactCut: Snapshot reads its per-client rows and the
+// dispatcher totals with every shard lock held, so under a saturated
+// two-shard pool each total equals the sum of its per-client column in
+// every snapshot, and the achieved shares sum to 1. A snapshot that
+// visits shards one at a time, or reads the totals outside the rows'
+// critical sections, fails this within a few hundred calls.
+func TestSnapshotIsExactCut(t *testing.T) {
+	d := New(Config{Workers: 2, Shards: 2, QueueCap: 64, Seed: 5})
+	defer d.Close()
+
+	clients := make([]*Client, 8)
+	for i := range clients {
+		c, err := d.NewClient(fmt.Sprintf("c%d", i), ticket.Amount(100*(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Stop the load before the deferred Close, also on a failed check.
+	stopLoad := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopLoad()
+	// Backlog: Block-policy detached submits keep every queue full.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := clients[i%len(clients)].SubmitDetached(func() {}); err != nil {
+				t.Errorf("submit: %v", err)
+				return
+			}
+		}
+	}()
+	// Cancellations and sheds, so the Cancelled and Shed columns move
+	// while snapshots are taken too.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c := clients[i%len(clients)]
+			ctx, cancel := context.WithCancel(context.Background())
+			task, err := c.SubmitCtx(ctx, func() {})
+			cancel()
+			if err == nil {
+				<-task.Done()
+			}
+			c.Shed(1)
+		}
+	}()
+
+	for n := 0; n < 2000; n++ {
+		s := d.Snapshot()
+		if len(s.Clients) != len(clients) {
+			t.Fatalf("snapshot %d has %d clients, want %d", n, len(s.Clients), len(clients))
+		}
+		var dispatched, cancelled, shed uint64
+		share := 0.0
+		for _, cs := range s.Clients {
+			dispatched += cs.Dispatched
+			cancelled += cs.Cancelled
+			shed += cs.Shed
+			share += cs.AchievedShare
+		}
+		if dispatched != s.Dispatched || cancelled != s.Cancelled || shed != s.Shed {
+			t.Fatalf("snapshot %d: per-client sums dispatched/cancelled/shed %d/%d/%d != totals %d/%d/%d",
+				n, dispatched, cancelled, shed, s.Dispatched, s.Cancelled, s.Shed)
+		}
+		if s.Dispatched > 0 && math.Abs(share-1) > 1e-9 {
+			t.Fatalf("snapshot %d: achieved shares sum to %.12f, want 1", n, share)
+		}
+	}
+	stopLoad()
+	if s := d.Snapshot(); s.Cancelled == 0 || s.Shed == 0 {
+		t.Fatalf("cancelled %d, shed %d: both columns should have moved", s.Cancelled, s.Shed)
+	}
+	if err := CheckInvariants(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingParkedWorkWithBusyWorkers: with the only worker blocked
+// inside a task, lock-free submissions to clients on both shards stay
+// parked in the submit rings, and nothing periodic drains them. They
+// must still be counted by Pending, evicted by Shed and dropped by
+// Abandon, and everything left must run once the worker is free.
+func TestRingParkedWorkWithBusyWorkers(t *testing.T) {
+	d := New(Config{Workers: 1, Shards: 2, Seed: 13})
+	defer d.Close()
+	gate := parkWorkers(t, d)
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+
+	// Round-robin placement alternates shards: a and x share one shard,
+	// b and y the other.
+	names := []string{"a", "b", "x", "y"}
+	cs := make(map[string]*Client)
+	for _, name := range names {
+		c, err := d.NewClient(name, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs[name] = c
+	}
+	if cs["a"].sh == cs["b"].sh || cs["a"].sh != cs["x"].sh || cs["b"].sh != cs["y"].sh {
+		t.Fatal("clients not spread over both shards as a/x and b/y")
+	}
+
+	const perClient = 4
+	var ran atomic.Int32
+	tasks := make(map[string][]*Task)
+	for _, name := range names {
+		for i := 0; i < perClient; i++ {
+			task, err := cs[name].Submit(func() { ran.Add(1) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks[name] = append(tasks[name], task)
+		}
+	}
+	for _, sh := range d.shards {
+		if got := sh.ringPending.Load(); got != 2*perClient {
+			t.Fatalf("shard %d ring holds %d submissions, want %d", sh.id, got, 2*perClient)
+		}
+	}
+	if got, want := d.Pending(), len(names)*perClient; got != want {
+		t.Fatalf("Pending = %d with every submission in a ring, want %d", got, want)
+	}
+	for _, name := range names {
+		if got := cs[name].Pending(); got != perClient {
+			t.Fatalf("%s.Pending = %d, want %d", name, got, perClient)
+		}
+	}
+
+	// Shed evicts the oldest ring-parked tasks on each shard.
+	for _, name := range []string{"a", "b"} {
+		if got := cs[name].Shed(2); got != 2 {
+			t.Fatalf("%s.Shed(2) = %d, want 2", name, got)
+		}
+		for i, task := range tasks[name][:2] {
+			if err := task.Wait(); !errors.Is(err, ErrShed) {
+				t.Fatalf("%s task %d: Wait = %v, want ErrShed", name, i, err)
+			}
+		}
+	}
+	// Abandon drops the rest of a client's parked work on each shard.
+	for _, name := range []string{"x", "y"} {
+		cs[name].Abandon()
+		for i, task := range tasks[name] {
+			if err := task.Wait(); !errors.Is(err, ErrClientLeft) {
+				t.Fatalf("%s task %d: Wait = %v, want ErrClientLeft", name, i, err)
+			}
+		}
+	}
+	if got := d.Pending(); got != 2*(perClient-2) {
+		t.Fatalf("Pending = %d after shed and abandon, want %d", got, 2*(perClient-2))
+	}
+	if err := CheckInvariants(d); err != nil {
+		t.Fatal(err)
+	}
+
+	release()
+	for _, name := range []string{"a", "b"} {
+		for i, task := range tasks[name][2:] {
+			if err := task.Wait(); err != nil {
+				t.Fatalf("%s task %d: Wait = %v after release, want nil", name, i+2, err)
+			}
+		}
+	}
+	if got := ran.Load(); got != 2*(perClient-2) {
+		t.Fatalf("%d tasks ran, want %d", got, 2*(perClient-2))
+	}
+	if got := d.Pending(); got != 0 {
+		t.Fatalf("Pending = %d after release, want 0", got)
+	}
+	if err := CheckInvariants(d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRingOnlyShardIsServed: a shard whose only work sits in its submit
+// ring has no tree weight yet. While another shard keeps the one worker
+// busy, the worker must still visit it, drain the ring and run the
+// task; nothing periodic drains rings on the worker's behalf.
+func TestRingOnlyShardIsServed(t *testing.T) {
+	d := New(Config{Workers: 1, Shards: 2, QueueCap: 64, Seed: 17})
+	defer d.Close()
+	hog, err := d.NewClient("hog", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lone, err := d.NewClient("lone", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hog.sh == lone.sh {
+		t.Fatal("hog and lone placed on the same shard")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopLoad := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopLoad()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := hog.SubmitDetached(func() { time.Sleep(50 * time.Microsecond) }); err != nil {
+				t.Errorf("hog submit: %v", err)
+				return
+			}
+		}
+	}()
+	waitUntil(t, "hog backlogged", func() bool { return hog.Pending() >= 32 })
+
+	task, err := lone.Submit(func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-task.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("lone task still waiting after 10s with the hog's shard busy (ring backlog %d)",
+			lone.sh.ringPending.Load())
+	}
+	stopLoad()
 	if err := CheckInvariants(d); err != nil {
 		t.Fatal(err)
 	}

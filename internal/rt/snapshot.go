@@ -11,8 +11,8 @@ import (
 type ClientSnapshot struct {
 	Name   string `json:"name"`
 	Tenant string `json:"tenant"`
-	// Shard is the dispatcher shard the client was homed on when the
-	// snapshot visited it (the rebalancer may move it later).
+	// Shard is the dispatcher shard the client is homed on; a client
+	// stays on the shard it was placed on at creation.
 	Shard int `json:"shard"`
 	// Funding is the client's current backing in base units (the
 	// value it would compete with), reflecting any outstanding
@@ -43,15 +43,22 @@ type ClientSnapshot struct {
 	WaitP99 time.Duration `json:"wait_p99_ns"`
 }
 
-// Snapshot is a view of the dispatcher. Since the dispatcher went
-// multi-shard the view is eventually consistent rather than atomic:
-// per-client stats are collected one shard at a time (each shard's
-// rows are internally consistent), the funding valuation happens
-// afterwards under the graph lock, and dispatcher totals are atomic
-// counter reads — so counts taken while work is in flight may
-// disagree by the few tasks that moved between phases. Dispatch is
-// never stalled for the duration of a snapshot the way the old
-// single-lock capture did.
+// Snapshot is a view of the dispatcher. Its counts are an exact cut:
+// they are read with every shard lock held, so they all describe the
+// same instant. In the cut are every per-client counter except Panics
+// (Dispatched, Submitted, Rejected, Cancelled, Shed), QueueDepth and
+// Compensation, the queued part of Pending, SnapshotRebuilds, and the
+// dispatcher's Dispatched, Cancelled and Shed totals. Each total
+// therefore equals the sum of its per-client column plus the counts of
+// clients already torn down, and with no departed client the
+// AchievedShare column sums to 1.
+//
+// Outside the cut, read without the shard locks: Completed, Panicked
+// and Panics (workers count them after running the task), the ring
+// part of Pending and RingFull (lock-free submitters), the wait
+// quantiles, Funding and EntitledShare (valued afterwards under the
+// graph lock), and Resources (the ledger's own lock). The shard locks
+// are held only while the rows are copied.
 type Snapshot struct {
 	Workers int  `json:"workers"`
 	Shards  int  `json:"shards"`
@@ -66,10 +73,7 @@ type Snapshot struct {
 	SnapshotRebuilds uint64 `json:"snapshot_rebuilds"`
 	// RingFull counts submissions that found their shard's submit ring
 	// full and fell back to the locked submit path.
-	RingFull uint64 `json:"ring_full"`
-	// Rebalances counts clients migrated between shards by the weight
-	// rebalancer since the dispatcher started.
-	Rebalances uint64 `json:"rebalances"`
+	RingFull   uint64 `json:"ring_full"`
 	Dispatched uint64 `json:"dispatched"`
 	Completed  uint64 `json:"completed"`
 	Panicked   uint64 `json:"panicked"`
@@ -80,8 +84,7 @@ type Snapshot struct {
 	// Resources is the multi-resource ledger's view (per-tenant usage,
 	// shares, and dominant-resource accounting); nil when the
 	// dispatcher was built without Config.Resources. It is captured
-	// under the ledger's own lock, with the same eventual-consistency
-	// caveat against the per-client rows as the other phases.
+	// under the ledger's own lock, after the cut.
 	Resources *resource.Snapshot `json:"resources,omitempty"`
 }
 
@@ -89,41 +92,22 @@ type Snapshot struct {
 // its consistency contract). Clients are sorted by name.
 func (d *Dispatcher) Snapshot() Snapshot {
 	s := Snapshot{
-		Workers:          d.workers,
-		Shards:           len(d.shards),
-		Closed:           d.closed.Load(),
-		Pending:          int(d.pendingAll()),
-		SnapshotRebuilds: d.snapRebuilds.Load(),
-		RingFull:         d.ringFull.Load(),
-		Rebalances:       d.rebalanced.Load(),
-		Dispatched:       d.dispatched.Load(),
-		Completed:        d.completed.Load(),
-		Panicked:         d.panicked.Load(),
-		Cancelled:        d.cancelled.Load(),
-		Shed:             d.shed.Load(),
-	}
-	if d.ledger != nil {
-		rs := d.ledger.Snapshot()
-		s.Resources = &rs
+		Workers: d.workers,
+		Shards:  len(d.shards),
+		Closed:  d.closed.Load(),
 	}
 
-	// Phase 1: copy per-client stats shard by shard, holding only that
-	// shard's mutex. A client migrating concurrently could be seen in
-	// two rosters (or neither); the seen-set drops duplicates and a
-	// miss is just staleness.
+	// Phase 1: the cut. Copy the per-client rows and read the totals
+	// with every shard lock held; all of them change only under a
+	// shard lock.
 	type row struct {
 		c    *Client
 		snap ClientSnapshot
 	}
-	var rows []row
-	seen := make(map[*Client]bool)
+	rows := make([]row, 0, d.clientsN.Load())
+	d.lockAllShards()
 	for _, sh := range d.shards {
-		sh.mu.Lock()
 		for _, c := range sh.clients {
-			if seen[c] {
-				continue
-			}
-			seen[c] = true
 			rows = append(rows, row{c: c, snap: ClientSnapshot{
 				Name:         c.name,
 				Tenant:       c.tenant.name,
@@ -138,7 +122,19 @@ func (d *Dispatcher) Snapshot() Snapshot {
 				Compensation: c.comp,
 			}})
 		}
-		sh.mu.Unlock()
+	}
+	s.Pending = int(d.pendingAll())
+	s.SnapshotRebuilds = d.snapRebuilds.Load()
+	s.Dispatched = d.dispatched.Load()
+	s.Cancelled = d.cancelled.Load()
+	s.Shed = d.shed.Load()
+	d.unlockAllShards()
+	s.RingFull = d.ringFull.Load()
+	s.Completed = d.completed.Load()
+	s.Panicked = d.panicked.Load()
+	if d.ledger != nil {
+		rs := d.ledger.Snapshot()
+		s.Resources = &rs
 	}
 
 	// Phase 2: value funding under the graph lock only. Entitlement is

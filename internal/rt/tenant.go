@@ -108,8 +108,8 @@ func (t *Tenant) Funding() ticket.Amount {
 // NewClient adds a client funded with amount tickets denominated in
 // the tenant's currency. The name must be unique within the
 // dispatcher's diagnostics (not enforced); amount must be positive.
-// The client is homed on a shard chosen round-robin; the rebalancer
-// may move it later to even out shard weights.
+// The client is homed on a shard chosen round-robin and stays there
+// until it is torn down.
 func (t *Tenant) NewClient(name string, amount ticket.Amount, opts ...ClientOption) (*Client, error) {
 	d := t.d
 	c := &Client{
@@ -149,7 +149,7 @@ func (t *Tenant) NewClient(name string, amount ticket.Amount, opts ...ClientOpti
 	// under the shard lock + graph lock, so the invariant sweep never
 	// sees them disagree.
 	sh := d.shards[int(d.nextShard.Add(1))%len(d.shards)]
-	c.sh.Store(sh)
+	c.sh = sh
 	sh.mu.Lock()
 	d.graphMu.Lock()
 	t.clients++
