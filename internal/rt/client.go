@@ -72,7 +72,10 @@ type Client struct {
 	// and Abandon, never cleared.
 	gone atomic.Bool
 
-	// Queue: slice-backed FIFO with a head index; compacted on empty.
+	// Queue: slice-backed FIFO with a head index. It resets to the
+	// array's start when it empties, and pushLocked reclaims the
+	// consumed head before it grows, so a client that never empties
+	// still holds at most twice its peak depth.
 	queue []*Task
 	head  int
 	qcap  int
@@ -377,7 +380,7 @@ func (c *Client) submit(ctx context.Context, fn func(), detached bool, res Reser
 	enqueued := time.Now()
 	t.enqueued = enqueued
 	t.span = span
-	c.queue = append(c.queue, t)
+	c.pushLocked(t)
 	c.submittedN++
 	c.mSubmitted.Inc()
 	c.mDepth.Add(1)
@@ -426,18 +429,22 @@ func (c *Client) submitFast(ctx context.Context, fn func(), detached bool, res R
 		c.depth.Add(-1)
 		return nil, false
 	}
-	now := time.Now()
 	var t *Task
 	if !detached {
-		t = &Task{done: make(chan struct{}), client: c, ctx: ctx, fn: fn, enqueued: now, span: span, res: res}
+		t = &Task{done: make(chan struct{}), client: c, ctx: ctx, fn: fn, span: span, res: res}
 		atomic.StoreInt32(&t.state, taskRinged)
 	}
-	m := ringMsg{c: c, fn: fn, t: t, span: span, res: res, enq: now}
+	m := ringMsg{c: c, fn: fn, t: t, span: span, res: res}
 	if cancellable {
 		m.ctx = ctx
 	}
 	sh := c.sh
-	sh.ringPending.Add(1)
+	if sh.ringPending.Add(1) == 1 || d.obs != nil {
+		// The publish opens a ring episode, or the submit event needs a
+		// time: one clock read serves both and stamps the message (see
+		// drainRingLocked).
+		m.enq = time.Now()
+	}
 	if d.closed.Load() {
 		// Close may already be past its sweep; rather than publish into
 		// a dispatcher whose workers are gone, roll back and let the
@@ -463,7 +470,7 @@ func (c *Client) submitFast(ctx context.Context, fn func(), detached bool, res R
 	}
 	d.wake()
 	if d.obs != nil {
-		d.obs.Observe(Event{At: now, Kind: EventSubmit, Client: c.name, Tenant: c.tenant.name})
+		d.obs.Observe(Event{At: m.enq, Kind: EventSubmit, Client: c.name, Tenant: c.tenant.name})
 	}
 	if detached {
 		return nil, true
@@ -500,6 +507,27 @@ func (c *Client) activateLocked(sh *shard) {
 	d.graphMu.Unlock()
 	c.item = sh.treeAdd(c, c.weight())
 	c.inTree = true
+}
+
+// pushLocked appends t to the FIFO. When the backing array is full it
+// first reclaims the consumed head: if at least half the array is
+// consumed, the live tail moves down to index 0; otherwise it moves to
+// a fresh array of twice the live depth. Both keep appends amortized
+// O(1) and cap the array at twice the client's peak depth, even for a
+// client that stays backlogged and so never empties.
+func (c *Client) pushLocked(t *Task) {
+	if n := len(c.queue); n > 0 && n == cap(c.queue) {
+		live := c.queue[c.head:]
+		if len(live) > n/2 {
+			c.queue = append(make([]*Task, 0, 2*len(live)), live...)
+		} else {
+			k := copy(c.queue, live)
+			clear(c.queue[k:])
+			c.queue = c.queue[:k]
+		}
+		c.head = 0
+	}
+	c.queue = append(c.queue, t)
 }
 
 // pendingLocked returns the queued (not yet dispatched) task count.

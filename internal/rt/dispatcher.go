@@ -570,25 +570,45 @@ type drainAction struct {
 // drainRingLocked empties sh's submit ring into its clients' queues.
 // Callers hold sh.mu; dead submissions come back as drainActions for
 // the caller to settle via finishActions once the lock is dropped.
+//
+// Ringed tasks are stamped enqueued without a clock read per task. A
+// submit reads the clock (ringMsg.enq) only when it finds the ring
+// empty, opening an episode, or when an observer needs the submit
+// time. The drain stamps each message with the latest reading it has
+// popped. Pops follow slot reservation order and every reading is
+// taken before its own reservation, so a stamp is never later than
+// the publish of a message popped after it: a task's wait counts its
+// ring dwell, overstated by at most its lag behind the stamped
+// message. A message popped before any stamped one in this drain (its
+// episode opened in an earlier drain, or it overtook the opener's
+// reservation) is stamped by one clock read at the drain, without its
+// ring dwell.
 func (d *Dispatcher) drainRingLocked(sh *shard) []drainAction {
 	var acts []drainAction
+	var since time.Time
 	for {
 		m, ok := sh.ring.pop()
 		if !ok {
 			return acts
 		}
+		if !m.enq.IsZero() {
+			since = m.enq
+		} else if since.IsZero() {
+			since = time.Now()
+		}
 		sh.ringPending.Add(-1)
-		if a, dead := d.placeLocked(sh, m); dead {
+		if a, dead := d.placeLocked(sh, m, since); dead {
 			acts = append(acts, a)
 		}
 	}
 }
 
-// placeLocked moves one popped ring message into its client's queue.
-// The client is homed on sh and sh.mu is held. Returns a dead action
-// (and true) instead when the submission was cancelled while ringed
-// or its client has left; the caller completes it outside the lock.
-func (d *Dispatcher) placeLocked(sh *shard, m ringMsg) (drainAction, bool) {
+// placeLocked moves one popped ring message into its client's queue,
+// stamping it enqueued at enq. The client is homed on sh and sh.mu is
+// held. Returns a dead action (and true) instead when the submission
+// was cancelled while ringed or its client has left; the caller
+// completes it outside the lock.
+func (d *Dispatcher) placeLocked(sh *shard, m ringMsg, enq time.Time) (drainAction, bool) {
 	c := m.c
 	t := m.t
 	if t != nil {
@@ -633,9 +653,9 @@ func (d *Dispatcher) placeLocked(sh *shard, m ringMsg) (drainAction, bool) {
 		}
 		atomic.StoreInt32(&t.state, taskQueued)
 	}
-	t.enqueued = m.enq
+	t.enqueued = enq
 	t.span = m.span
-	c.queue = append(c.queue, t)
+	c.pushLocked(t)
 	c.submittedN++
 	c.mSubmitted.Inc()
 	c.mDepth.Add(1)
@@ -948,13 +968,22 @@ func (d *Dispatcher) runDrawn(dr *drawn, worker int) {
 			Client: c.name, Tenant: c.tenant.name, Wait: dr.wait})
 	}
 
-	start := time.Now()
+	// The run is timed only when something reads the time:
+	// compensation, the ledger's CPU accrual, events or the span.
+	timed := d.slice > 0 || d.ledger != nil || d.obs != nil || t.span != nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
 	if t.span != nil {
 		t.span.Worker = worker
 		t.span.Run = start
 	}
 	err := runTask(t)
-	elapsed := time.Since(start)
+	var elapsed time.Duration
+	if timed {
+		elapsed = time.Since(start)
+	}
 
 	if d.ledger != nil {
 		// Accrue the task's worker time to the tenant's CPU usage share

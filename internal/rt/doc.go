@@ -107,6 +107,16 @@
 // drain sees the task in neither queue; Pending and the fairness
 // ledger account for it via the shard's ring-pending gauge.
 //
+// Wait quantiles (Snapshot.WaitP50/WaitP99, Client.WaitHistogram,
+// which the overload controller's SLO loop also reads) run from a
+// task's enqueue stamp to its draw. A locked-path submit is stamped as
+// it enters the queue. A ringed submit reads the clock only when it
+// finds the ring empty or an observer needs the submit time, and the
+// drain stamps each message with the latest reading it has popped. So
+// ring dwell counts, overstated by at most a task's lag behind the
+// stamped message; a message popped before any stamp is stamped at
+// its drain, without its ring dwell.
+//
 // # Tracing and the fairness audit
 //
 // Config.Tracer samples tasks at submit and stitches a per-task span

@@ -508,9 +508,14 @@ func TestBlockedSubmitterWokenBy(t *testing.T) {
 	}
 	t.Run("Close", func(t *testing.T) {
 		d, _, gate, blocked := setup(t)
-		close(gate)
-		d.Close()
+		// Close before opening the gate: a worker freed first could
+		// dispatch the queued task and admit the blocked submitter
+		// before Close marks the dispatcher closed.
+		closed := make(chan struct{})
+		go func() { d.Close(); close(closed) }()
 		expect(t, blocked, ErrClosed)
+		close(gate)
+		<-closed
 	})
 	t.Run("Leave", func(t *testing.T) {
 		d, c, gate, blocked := setup(t)

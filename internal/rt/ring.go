@@ -41,7 +41,10 @@ type ringMsg struct {
 	ctx  context.Context
 	span *audit.Span
 	res  resource.Reserve
-	enq  time.Time
+	// enq is the submitter's clock read, taken before the slot is
+	// reserved and only when its ringPending increment found the ring
+	// empty or an observer needs the submit time; zero otherwise.
+	enq time.Time
 }
 
 // ringSlot couples a message with its sequence atomic. seq is the

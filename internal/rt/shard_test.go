@@ -352,6 +352,15 @@ func TestSnapshotIsExactCut(t *testing.T) {
 			t.Fatalf("snapshot %d: achieved shares sum to %.12f, want 1", n, share)
 		}
 	}
+	// Workers can drain the queues faster than the one backlog
+	// goroutine refills them, so Shed(1) may find nothing for a while:
+	// keep the load running until both columns have moved, under a
+	// deadline, before stopping it.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if s := d.Snapshot(); s.Cancelled > 0 && s.Shed > 0 {
+			break
+		}
+	}
 	stopLoad()
 	if s := d.Snapshot(); s.Cancelled == 0 || s.Shed == 0 {
 		t.Fatalf("cancelled %d, shed %d: both columns should have moved", s.Cancelled, s.Shed)

@@ -38,7 +38,11 @@ type ClientSnapshot struct {
 	// WaitP50/WaitP99 are enqueue-to-dispatch latency percentiles
 	// over all of the client's dispatches, estimated from the same
 	// log-bucketed histogram a /metrics scrape exports (constant ~2x
-	// relative resolution; see metrics.Histogram.Quantile).
+	// relative resolution; see metrics.Histogram.Quantile). A locked
+	// submit waits from its enqueue; a ringed one from the latest
+	// submit-side clock reading drained with or before it, or from its
+	// drain when none was (see the package doc). The overload
+	// controller's SLO loop reads the same histogram.
 	WaitP50 time.Duration `json:"wait_p50_ns"`
 	WaitP99 time.Duration `json:"wait_p99_ns"`
 }
